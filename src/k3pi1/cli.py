@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .dynkin import AdeConfig
@@ -55,7 +55,7 @@ from .orbifold import (
     orbifold_euler_characteristic,
 )
 from .pi1 import MonodromyRep, coinvariant_quotient, validate_representation
-from .surface import NormalK3Input, analyze, trichotomy_sweep
+from .surface import NormalK3Input, _frac_str, analyze, trichotomy_sweep
 
 __all__ = ["main", "entry", "InputError", "load_config"]
 
@@ -66,10 +66,6 @@ class InputError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit_json(payload: Any) -> None:
@@ -559,7 +555,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ cyclotomic matrix entries.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator
@@ -35,6 +36,7 @@ __all__ = [
     "enumerate_ade_configs",
 ]
 
+_LABEL_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 _E_DELTA = {6: 24, 7: 48, 8: 120}
 _E_CARTAN_DET = {6: 3, 7: 2, 8: 1}
 
@@ -89,10 +91,12 @@ class DuValType:
 
     @classmethod
     def parse(cls, label: str) -> "DuValType":
-        """Parse labels of the form "A12", "D4", "E8" (case-sensitive)."""
-        if len(label) < 2 or label[0] not in "ADE" or not label[1:].isdigit():
+        """Parse labels of the form "A12", "D4", "E8" (case-sensitive,
+        ASCII digits, no leading zeros)."""
+        m = _LABEL_RE.fullmatch(label)
+        if not m:
             raise ValueError(f"invalid Du Val label {label!r}")
-        return cls(label[0], int(label[1:]))
+        return cls(m[1], int(m[2]))
 
     def diagram_edges(self) -> list[tuple[int, int]]:
         """Edges of the Dynkin diagram on vertices 0..n-1.

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .dynkin import AdeConfig, DuValType, NotAdeError, recognize_ade
 
@@ -62,7 +62,7 @@ K3_EULER_NUMBER = 24
 
 _PLAIN = ("II", "III", "IV", "IV*", "III*", "II*")
 _PLAIN_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-_LABEL_RE = re.compile(r"^(I\*|I|II\*|II|III\*|III|IV\*|IV)(\d*)$")
+_LABEL_RE = re.compile(r"(I\*|I|II\*|II|III\*|III|IV\*|IV)(0|[1-9][0-9]*)?")
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -128,7 +128,8 @@ class KodairaType:
 
     @classmethod
     def parse(cls, label: str) -> "KodairaType":
-        m = _LABEL_RE.match(label)
+        """Parse "I3", "I*0", "IV*", ...: ASCII index digits, no leading zeros."""
+        m = _LABEL_RE.fullmatch(label)
         if not m:
             raise ValueError(f"invalid Kodaira label {label!r}")
         base, digits = m.groups()
@@ -366,27 +367,42 @@ class DecorationOutcome:
     removed: frozenset[str]
 
 
-def _sort_key(o: DecorationOutcome):
-    return (o.m, tuple((t.kind, t.n) for t in o.config.entries))
+# An outcome key is (m, pieces) with pieces the sorted (kind, n) pairs
+# of the removed config: keys order exactly as (m, config entries) do.
+OutcomeKey = tuple[int, tuple[tuple[str, int], ...]]
 
 
-def _outcomes_by_subsets(t: KodairaType) -> list[DecorationOutcome]:
-    data = fiber_data(t)
-    ids = data.component_ids
-    seen: dict[tuple, DecorationOutcome] = {}
+def _build_outcomes(
+    t: KodairaType, recipes: dict[OutcomeKey, object], removed_of: Callable
+) -> tuple[DecorationOutcome, ...]:
+    """One outcome per key, in key order; `removed_of(recipe)` gives the
+    representative removed set of each key."""
+    types: dict[tuple[str, int], DuValType] = {}
+    outcomes = []
+    for key in sorted(recipes):
+        m, pieces = key
+        for p in pieces:
+            if p not in types:
+                types[p] = DuValType(*p)
+        config = AdeConfig(tuple(types[p] for p in pieces))
+        outcomes.append(DecorationOutcome(t, m, config, frozenset(removed_of(recipes[key]))))
+    return tuple(outcomes)
+
+
+def _outcomes_by_subsets(t: KodairaType) -> tuple[DecorationOutcome, ...]:
+    ids = fiber_data(t).component_ids
+    recipes: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
-        removed = frozenset(cid for k, cid in enumerate(ids) if mask >> k & 1)
+        removed = [cid for k, cid in enumerate(ids) if mask >> k & 1]
         summary = validate_decoration(Decoration(t, removed))
-        key = (summary.m, summary.removed_config.entries)
-        if key not in seen:
-            seen[key] = DecorationOutcome(
-                fiber=t, m=summary.m, config=summary.removed_config, removed=removed
-            )
-    return sorted(seen.values(), key=_sort_key)
+        pieces = tuple((e.kind, e.n) for e in summary.removed_config.entries)
+        recipes.setdefault((summary.m, pieces), removed)
+    return _build_outcomes(t, recipes, frozenset)
 
 
 def _arc_multisets(budget: int) -> Iterator[list[int]]:
-    """Multisets of arc lengths l_i >= 1 with sum(l_i + 1) <= budget."""
+    """Multisets of arc lengths l_i >= 1 with sum(l_i + 1) <= budget,
+    each as a non-increasing list."""
 
     def rec(max_part: int, room: int, acc: list[int]) -> Iterator[list[int]]:
         yield list(acc)
@@ -398,129 +414,106 @@ def _arc_multisets(budget: int) -> Iterator[list[int]]:
     yield from rec(budget - 1, budget, [])
 
 
-def _outcomes_cycle(t: KodairaType) -> list[DecorationOutcome]:
+def _arc_ids(ids: list[str], arcs: Sequence[int], pos: int) -> list[str]:
+    """The ids[pos:] covered by arcs laid out from pos, one kept between."""
+    removed = []
+    for length in arcs:
+        removed += ids[pos : pos + length]
+        pos += length + 1
+    return removed
+
+
+def _outcomes_cycle(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """Outcome classes for I_n, n >= 3, without subset enumeration.
 
     Removed sets are disjoint unions of arcs of the n-cycle with at
     least one kept component between consecutive arcs; the outcome is
-    the multiset of arc lengths, always with m = 1.
+    the multiset of arc lengths, always with m = 1, and each multiset
+    is generated once.
     """
-    n = t.n
-    seen: dict[tuple, DecorationOutcome] = {}
-    empty = Decoration(t, frozenset())
-    seen[()] = DecorationOutcome(t, validate_decoration(empty).m, AdeConfig(), frozenset())
-    for arcs in _arc_multisets(n):
-        if not arcs:
-            continue
-        key = tuple(sorted(arcs))
-        if key in seen:
-            continue
-        removed = []
-        pos = 0
-        for length in arcs:
-            removed += [f"c{pos + i}" for i in range(length)]
-            pos += length + 1
-        config = AdeConfig(tuple(DuValType("A", length) for length in arcs))
-        seen[key] = DecorationOutcome(t, 1, config, frozenset(removed))
-    return sorted(seen.values(), key=_sort_key)
+    ids = [f"c{i}" for i in range(t.n)]
+    recipes = {
+        (1, tuple(("A", length) for length in reversed(arcs))): arcs
+        for arcs in _arc_multisets(t.n)
+    }
+    return _build_outcomes(t, recipes, lambda arcs: _arc_ids(ids, arcs, 0))
 
 
-def _istar_end_piece(tails_removed: int, run: int) -> DuValType:
-    """Type of the component formed by an end run of the chain plus the
-    removed tails at that end."""
-    if tails_removed == 0:
-        return DuValType("A", run)
-    if tails_removed == 1:
-        return DuValType("A", run + 1)
-    if run == 1:
-        return DuValType("A", 3)
-    return DuValType("D", run + 2)
+def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
+    """Pieces formed at one end of the I*_n chain by the removed tails
+    there and the end run of `run` chain components."""
+    if run == 0:
+        return (("A", 1),) * tails
+    if tails < 2:
+        return (("A", run + tails),)
+    return (("A", 3),) if run == 1 else (("D", run + 2),)
 
 
-def _istar_full_span_piece(a: int, b: int, chain: int) -> DuValType:
-    """Type when the whole chain is removed together with a + b tails."""
-    total = chain + a + b
-    if max(a, b) <= 1:
-        return DuValType("A", total)
-    if total == 3:
-        return DuValType("A", 3)
-    return DuValType("D", total)
-
-
-def _outcomes_istar(t: KodairaType) -> list[DecorationOutcome]:
+def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """Outcome classes for I*_n without subset enumeration.
 
-    A removed set is (a tails at the c0 end, b tails at the cn end,
-    a set of chain runs).  Runs touching an end absorb the removed
-    tails there; interior runs give A pieces.  m = 2 exactly when all
-    four tails are removed, since the kept chain components all have
-    multiplicity 2.
+    A removed set is either the whole chain with a + b tails, or (a
+    tails at the c0 end, b tails at the cn end, a prefix run of p chain
+    components from c0, a suffix run of s from cn, interior runs).  End
+    runs absorb the removed tails at their end; interior runs give A
+    pieces.  m = 2 exactly when all four tails are removed, since the
+    kept chain components all have multiplicity 2.
+
+    Many choices give the same outcome.  The pieces at the two ends and
+    m form a head; of all (a, p, b, s) with the same head, among them
+    the mirror images (b, s, a, p), only the one leaving the most room
+    for interior runs is expanded, and outcomes are deduplicated on
+    plain keys before any object is built.
     """
-    n = t.n
-    chain = n + 1
-    seen: dict[tuple, DecorationOutcome] = {}
-
-    def emit(m: int, pieces: list[DuValType], removed: Iterable[str]) -> None:
-        config = AdeConfig(tuple(pieces))
-        key = (m, config.entries)
-        if key not in seen:
-            seen[key] = DecorationOutcome(t, m, config, frozenset(removed))
-
-    left_tails = ["t1", "t2"]
-    right_tails = ["t3", "t4"]
+    chain = t.n + 1
+    heads: dict[OutcomeKey, tuple[int, int, int, int, int]] = {}
+    recipes: dict[OutcomeKey, tuple] = {}
     for a in range(3):
         for b in range(3):
-            tail_ids = left_tails[:a] + right_tails[:b]
-            # whole chain removed
-            if not (a == 2 and b == 2):
-                piece = _istar_full_span_piece(a, b, chain)
-                emit(1, [piece], tail_ids + [f"c{i}" for i in range(chain)])
-            # proper chain patterns: prefix run p, suffix run s, interior
-            # runs; p + s <= chain - 1 keeps the runs from merging
-            m = 2 if (a == 2 and b == 2) else 1
+            m = 2 if a == b == 2 else 1
+            if m == 1:  # the whole chain: an end run taking in the other end's tails
+                recipes[(1, _istar_end(max(a, b), chain + min(a, b)))] = (a, chain, b, 0, [])
             for p in range(chain):
                 for s in range(chain - p):
-                    window = chain - p - s - 2
-                    for interior in _arc_multisets(window + 1):
-                        if p == 0 and s == 0 and not interior and not tail_ids:
-                            continue  # empty removal, handled below
-                        pieces = []
-                        removed = list(tail_ids)
-                        if p > 0:
-                            pieces.append(_istar_end_piece(a, p))
-                            removed += [f"c{i}" for i in range(p)]
-                        elif a:
-                            pieces += [DuValType("A", 1)] * a
-                        if s > 0:
-                            pieces.append(_istar_end_piece(b, s))
-                            removed += [f"c{chain - 1 - i}" for i in range(s)]
-                        elif b:
-                            pieces += [DuValType("A", 1)] * b
-                        pos = p + 1
-                        for length in interior:
-                            pieces.append(DuValType("A", length))
-                            removed += [f"c{pos + i}" for i in range(length)]
-                            pos += length + 1
-                        emit(m, pieces, removed)
-    empty = Decoration(t, frozenset())
-    emit(validate_decoration(empty).m, [], [])
-    return sorted(seen.values(), key=_sort_key)
+                    head = (m, tuple(sorted(_istar_end(a, p) + _istar_end(b, s))))
+                    room = chain - p - s - 1
+                    if heads.get(head, (-1,))[0] < room:
+                        heads[head] = (room, a, p, b, s)
+
+    interiors: dict[int, list] = {}
+    for (m, head), (room, a, p, b, s) in heads.items():
+        if room not in interiors:
+            interiors[room] = [
+                (arcs, tuple(("A", length) for length in arcs))
+                for arcs in _arc_multisets(room)
+            ]
+        for arcs, pieces in interiors[room]:
+            key = (m, tuple(sorted(head + pieces)))
+            if key not in recipes:
+                recipes[key] = (a, p, b, s, arcs)
+
+    ids = [f"c{i}" for i in range(chain)]
+
+    def removed_of(recipe) -> list[str]:
+        a, p, b, s, arcs = recipe
+        tails = ["t1", "t2"][:a] + ["t3", "t4"][:b]
+        return tails + ids[:p] + ids[chain - s :] + _arc_ids(ids, arcs, p + 1)
+
+    return _build_outcomes(t, recipes, removed_of)
 
 
 @lru_cache(maxsize=None)
 def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
-    """All decoration classes of a fiber type, one representative each.
+    """All decoration classes of a fiber type, one representative each,
+    sorted by (m, removed config).
 
-    Fiber types with at most 13 components are enumerated by brute
-    force over subsets; larger I_n and I*_n use the structural
-    enumerations above (cross-validated against brute force in the
-    tests).
+    I_n with n >= 3 and every I*_n use the structural enumerations
+    above, which build each outcome once; the tests check them against
+    brute force.  Only II ... II*, I_1 and I_2, with at most 9
+    components, are enumerated by brute force over subsets.
     """
-    n_comps = len(fiber_data(t).components)
-    if n_comps <= 13:
-        return tuple(_outcomes_by_subsets(t))
-    if t.base == "I":
-        return tuple(_outcomes_cycle(t))
     if t.base == "I*":
-        return tuple(_outcomes_istar(t))
-    raise AssertionError(f"unexpected large fiber {t.label}")
+        return _outcomes_istar(t)
+    if t.base == "I" and t.n >= 3:
+        return _outcomes_cycle(t)
+    return _outcomes_by_subsets(t)

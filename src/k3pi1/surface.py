@@ -28,8 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dynkin import AdeConfig, local_euler_contribution
 from .kodaira import (
@@ -96,14 +98,16 @@ def rank_gate(c: AdeConfig) -> RankGate:
     """Evaluate the rank bound; when it passes, the orbifold Euler
     number must come out >= 3/2 (minimum at fifteen A_1 points), which
     is asserted as an internal consistency check."""
-    r = c.rank
+    return _rank_gate(c.rank, orbifold_euler_number(c))
+
+
+def _rank_gate(r: int, e_orb: Fraction) -> RankGate:
+    """The rank gate for rank r, given the orbifold Euler number."""
     passes = r <= RANK_GATE_BOUND
-    if passes:
-        e = orbifold_euler_number(c)
-        if e < Fraction(3, 2):
-            raise AssertionError(
-                f"rank {r} <= {RANK_GATE_BOUND} but orbifold Euler number {e} < 3/2"
-            )
+    if passes and e_orb < Fraction(3, 2):
+        raise AssertionError(
+            f"rank {r} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
+        )
     return RankGate(r=r, passes=passes)
 
 
@@ -212,8 +216,8 @@ class Report:
 
 
 def _analyze_bare(config: AdeConfig) -> Report:
-    gate = rank_gate(config)
     e_orb = orbifold_euler_number(config)
+    gate = _rank_gate(config.rank, e_orb)
     verdict = None
     if gate.passes:
         verdict = Verdict(FINITE_FUNDAMENTAL_GROUP)
@@ -223,7 +227,7 @@ def _analyze_bare(config: AdeConfig) -> Report:
     return Report(
         kind="bare",
         config=config,
-        r=config.rank,
+        r=gate.r,
         e_orb=e_orb,
         gate=gate,
         verdict=verdict,
@@ -234,7 +238,7 @@ def _analyze_fibered(input_: NormalK3Input) -> Report:
     summary: FibrationSummary = validate_k3_fibration(input_.fibers)
     config = summary.config
     e_orb = orbifold_euler_number(config)
-    gate = rank_gate(config)
+    gate = _rank_gate(config.rank, e_orb)
     signature = OrbifoldSignature(summary.cone_multiplicities)
     cls = classify(signature)
 
@@ -273,7 +277,7 @@ def _analyze_fibered(input_: NormalK3Input) -> Report:
     return Report(
         kind="fibered",
         config=config,
-        r=config.rank,
+        r=gate.r,
         e_orb=e_orb,
         gate=gate,
         fibers=fiber_reports,
@@ -334,38 +338,44 @@ class SweepResult:
         return not self.violations
 
 
-def _sweep_items(euler_sum: int) -> list[dict]:
-    """All (fiber type, nontrivial outcome) pairs with euler <= budget."""
-    types: list[KodairaType] = []
-    for base in ("II", "III", "IV", "IV*", "III*", "II*"):
-        t = KodairaType(base)
-        if t.euler <= euler_sum:
-            types.append(t)
-    for n in range(1, euler_sum + 1):
-        types.append(KodairaType("I", n))
-    for n in range(0, euler_sum - 5):
-        types.append(KodairaType("I*", n))
+class SweepItem(NamedTuple):
+    """One nontrivial decoration outcome within the sweep budget;
+    `scaled` is its local Euler contribution times the sweep's common
+    denominator."""
+
+    type: KodairaType
+    euler: int
+    m: int
+    config: AdeConfig
+    rank: int
+    scaled: int
+    removed: frozenset[str]
+
+
+def _sweep_items(euler_sum: int) -> tuple[list[SweepItem], int]:
+    """All (fiber type, nontrivial outcome) pairs with euler <= budget,
+    and the common denominator of their scaled contributions."""
+    types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
+    types += [KodairaType("I", n) for n in range(1, euler_sum + 1)]
+    types += [KodairaType("I*", n) for n in range(0, euler_sum - 5)]
+    types.sort(key=lambda t: (t.euler, t.label))
+    tables = [(t, decoration_outcomes(t)) for t in types if t.euler <= euler_sum]
+    # keyed by (kind, n): tuples hash and compare without Python calls
+    distinct = {(p.kind, p.n): p for _, tab in tables for o in tab for p in o.config.entries}
+    contrib = {key: local_euler_contribution(p) for key, p in distinct.items()}
+    denom = lcm(*(c.denominator for c in contrib.values()))
+    scaled = {key: c.numerator * (denom // c.denominator) for key, c in contrib.items()}
 
     items = []
-    for t in sorted(types, key=lambda t: (t.euler, t.label)):
-        for outcome in decoration_outcomes(t):
-            if outcome.config.rank == 0:
-                continue
-            items.append(
-                {
-                    "type": t,
-                    "euler": t.euler,
-                    "m": outcome.m,
-                    "config": outcome.config,
-                    "rank": outcome.config.rank,
-                    "contrib": sum(
-                        (local_euler_contribution(p) for p in outcome.config.entries),
-                        Fraction(0),
-                    ),
-                    "removed": outcome.removed,
-                }
-            )
-    return items
+    for t, table in tables:
+        for o in table:
+            if o.config.entries:
+                rank = value = 0
+                for p in o.config.entries:
+                    rank += p.n
+                    value += scaled[p.kind, p.n]
+                items.append(SweepItem(t, t.euler, o.m, o.config, rank, value, o.removed))
+    return items, denom
 
 
 def trichotomy_sweep(
@@ -386,28 +396,23 @@ def trichotomy_sweep(
     expanded one by one only for euclidean or hyperbolic cone parts,
     where each full instance is checked against r >= 16, orbifold Euler
     number zero, and the rank gate.  Hyperbolic instances and failed
-    checks are recorded as violations.
+    checks are recorded as violations.  Euler contributions are summed
+    as integers over one common denominator; only reported instances
+    carry their orbifold Euler number as a Fraction.
     """
-    items = _sweep_items(euler_sum)
-    denom = lcm(*(it["contrib"].denominator for it in items)) if items else 1
-    for it in items:
-        it["scaled"] = int(it["contrib"] * denom)
+    items, denom = _sweep_items(euler_sum)
     full_scaled = euler_sum * denom
-    cone_items = [it for it in items if it["m"] >= 2]
-    flat_items = [it for it in items if it["m"] == 1]
+    cone_items = [it for it in items if it.m >= 2]
+    flat_items = [it for it in items if it.m == 1]
 
     # ways[b] = number of multisets of m = 1 outcomes with total Euler b
     ways = [0] * (euler_sum + 1)
     ways[0] = 1
     for it in flat_items:
-        e = it["euler"]
+        e = it.euler
         for b in range(e, euler_sum + 1):
             ways[b] += ways[b - e]
-    completions_within = [0] * (euler_sum + 1)
-    acc = 0
-    for b in range(euler_sum + 1):
-        acc += ways[b]
-        completions_within[b] = acc
+    completions_within = list(accumulate(ways))
 
     counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
     euclidean: list[SweepInstance] = []
@@ -415,14 +420,9 @@ def trichotomy_sweep(
     violations: list[str] = []
     total = 0
 
-    classify_cache: dict[tuple[int, ...], OrbifoldClass] = {}
-
+    @cache
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
-        cls = classify_cache.get(cones)
-        if cls is None:
-            cls = classify(OrbifoldSignature(cones))
-            classify_cache[cones] = cls
-        return cls
+        return classify(OrbifoldSignature(cones))
 
     cone_chosen: list[tuple[int, int]] = []  # (cone item index, count)
     flat_chosen: list[tuple[int, int]] = []
@@ -432,9 +432,7 @@ def trichotomy_sweep(
         for source, chosen in ((cone_items, cone_chosen), (flat_items, flat_chosen)):
             for idx, count in chosen:
                 it = source[idx]
-                outcomes.append(
-                    (it["type"].label, it["m"], it["config"].labels, count)
-                )
+                outcomes.append((it.type.label, it.m, it.config.labels, count))
         return SweepInstance(
             outcomes=tuple(outcomes),
             cone_orders=cones,
@@ -473,7 +471,7 @@ def trichotomy_sweep(
         check_infinite_instance(cones, cls, r, scaled)
         for idx in range(start, len(flat_items)):
             it = flat_items[idx]
-            e = it["euler"]
+            e = it.euler
             if e > budget:
                 break
             count = 0
@@ -484,7 +482,7 @@ def trichotomy_sweep(
                 flat_chosen.append((idx, count))
                 expand_completions(
                     cones, cls, idx + 1, left,
-                    r + count * it["rank"], scaled + count * it["scaled"],
+                    r + count * it.rank, scaled + count * it.scaled,
                 )
                 flat_chosen.pop()
 
@@ -502,23 +500,20 @@ def trichotomy_sweep(
             expand_completions(cones, cls, 0, budget, r, scaled)
         for idx in range(start, len(cone_items)):
             it = cone_items[idx]
-            e = it["euler"]
+            e = it.euler
             if e > budget:
                 break
-            m = it["m"]
+            m = it.m
             count = 0
-            pushed = 0
             left = budget
             while left >= e:
                 count += 1
                 left -= e
                 cone_stack.append(m)
-                pushed += 1
                 cone_chosen.append((idx, count))
-                rec(idx + 1, left, r + count * it["rank"], scaled + count * it["scaled"])
+                rec(idx + 1, left, r + count * it.rank, scaled + count * it.scaled)
                 cone_chosen.pop()
-            for _ in range(pushed):
-                cone_stack.pop()
+            del cone_stack[len(cone_stack) - count :]
 
     rec(0, euler_sum, 0, 0)
     return SweepResult(

@@ -8,7 +8,8 @@ library so the two sides of each check share no code:
 * cofactor-expansion determinants and k x k minor gcds, used to
   validate Smith normal forms,
 * full-grid isotropic vector search without pruning,
-* 2x2 integer matrix powering.
+* 2x2 integer matrix powering,
+* the generating function counting sweep classes.
 """
 
 from __future__ import annotations
@@ -298,3 +299,14 @@ def mat2_power_order(t, limit: int = 12):
             ),
         )
     return None
+
+
+def gf_total(eulers, budget: int) -> int:
+    """Sum of the coefficients of degree <= budget of prod 1/(1 - x^e)
+    over the given Euler numbers: the number of multisets of the items
+    with total Euler number at most the budget."""
+    ways = [1] + [0] * budget
+    for e in eulers:
+        for b in range(e, budget + 1):
+            ways[b] += ways[b - e]
+    return sum(ways)

@@ -99,6 +99,12 @@ def test_criterion_3_trichotomy_sweep():
         elapsed = time.monotonic() - start
         assert result.counts["hyperbolic"] == 0, result.violations
         assert result.counts["euclidean"] == 4
+        assert result.total == 10_487_956
+        assert result.counts == {
+            "spherical_or_bad": 10_487_952,
+            "euclidean": 4,
+            "hyperbolic": 0,
+        }
         for inst in result.euclidean:
             assert inst.r >= 16, inst.describe()
             assert inst.e_orb == 0, inst.describe()

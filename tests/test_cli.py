@@ -186,6 +186,38 @@ def test_invalid_config_errors_name_the_field(tmp_path):
     assert "missing.json" in err
 
 
+def test_noncanonical_labels_exit_1_naming_the_field(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"singularities": ["A1", "A01"]}')
+    code, out, err = run_cli("analyze", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: singularities:") and "A01" in err
+
+    bad.write_text('{"fibration": {"fibers": [{"kodaira": "I05"}]}}')
+    code, out, err = run_cli("analyze", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: fibration.fibers[0].kodaira:") and "I05" in err
+
+    code, out, err = run_cli("kodaira", "info", "I\u0663")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: label:")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader stops after 5 bytes of a JSON dump larger than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k3pi1", "kodaira", "info", "I5000", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_declared_monodromy_mismatch_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -27,7 +27,8 @@ def test_invalid_labels_rejected():
     for kind, n in [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("B", 2)]:
         with pytest.raises(ValueError):
             DuValType(kind, n)
-    for label in ["D3", "E9", "A0", "a1", "A", "A1x", "A_1"]:
+    # labels are canonical: ASCII digits, no leading zeros
+    for label in ["D3", "E9", "A0", "a1", "A", "A1x", "A_1", "A01", "D004", "A\u0663", "A1\n"]:
         with pytest.raises(ValueError):
             DuValType.parse(label)
 

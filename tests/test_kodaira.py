@@ -32,7 +32,9 @@ def test_labels_round_trip():
 
 
 def test_bad_labels():
-    for label in ["I0", "I", "I*", "V", "II2", "IV*1", "i3", "I-1", "I*x"]:
+    # labels are canonical: ASCII digits, no leading zeros
+    bad = ["I0", "I", "I*", "V", "II2", "IV*1", "i3", "I-1", "I*x"]
+    for label in bad + ["I05", "I*00", "I\u0663", "I3\n"]:
         with pytest.raises(ValueError):
             KodairaType.parse(label)
     with pytest.raises(ValueError):
@@ -194,28 +196,41 @@ def test_validate_k3_fibration_rejects_bad_euler_sum():
     assert exc.value.actual == 30
 
 
+def _table(outcomes):
+    return [(o.m, o.config) for o in outcomes]
+
+
 def test_decoration_outcomes_match_brute_force_cycle():
     from k3pi1.kodaira import _outcomes_by_subsets, _outcomes_cycle
 
     for n in range(3, 14):
         t = KodairaType("I", n)
-        brute = {(o.m, o.config.entries) for o in _outcomes_by_subsets(t)}
-        fast = {(o.m, o.config.entries) for o in _outcomes_cycle(t)}
-        assert brute == fast, n
+        assert _table(_outcomes_cycle(t)) == _table(_outcomes_by_subsets(t)), n
 
 
 def test_decoration_outcomes_match_brute_force_istar():
     from k3pi1.kodaira import _outcomes_by_subsets, _outcomes_istar
 
-    for n in range(1, 9):
+    for n in range(0, 9):
         t = KodairaType("I*", n)
-        brute = {(o.m, o.config.entries) for o in _outcomes_by_subsets(t)}
-        fast = {(o.m, o.config.entries) for o in _outcomes_istar(t)}
-        assert brute == fast, n
+        assert _table(_outcomes_istar(t)) == _table(_outcomes_by_subsets(t)), n
 
 
 def test_decoration_outcomes_representatives_are_valid():
-    for t in _small_types(10) + [KodairaType("I", 16), KodairaType("I*", 10)]:
+    for t in _small_types(10) + [KodairaType("I", n) for n in (16, 24)] + [
+        KodairaType("I*", n) for n in (10, 18)
+    ]:
         for o in decoration_outcomes(t):
             s = validate_decoration(Decoration(t, o.removed))
             assert (s.m, s.removed_config) == (o.m, o.config), (t.label, o)
+
+
+def test_outcome_table_sizes_at_euler_24():
+    sizes = {"plain": 0, "I": 0, "I*": 0}
+    for base in ("II", "III", "IV", "IV*", "III*", "II*"):
+        sizes["plain"] += len(decoration_outcomes(KodairaType(base)))
+    for n in range(1, 25):
+        sizes["I"] += len(decoration_outcomes(KodairaType("I", n)))
+    for n in range(0, 19):
+        sizes["I*"] += len(decoration_outcomes(KodairaType("I*", n)))
+    assert sizes == {"plain": 135, "I": 7_337, "I*": 23_774}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k3pi1.dynkin import AdeConfig, enumerate_ade_configs
-from k3pi1.kodaira import Decoration, KodairaType, fiber_data
+from k3pi1.kodaira import Decoration, KodairaType, decoration_outcomes, fiber_data
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
 from k3pi1.surface import (
     FINITE_FUNDAMENTAL_GROUP,
@@ -16,6 +16,8 @@ from k3pi1.surface import (
     rank_gate,
     trichotomy_sweep,
 )
+
+from oracles import gf_total
 
 K = KodairaType.parse
 
@@ -190,17 +192,33 @@ def test_trichotomy_sweep_finds_kummer_class_at_16_plus_6():
     assert res.counts["hyperbolic"] == 0
 
 
+def test_trichotomy_sweep_totals_match_generating_function():
+    # a sweep class is a multiset of nontrivial outcomes within the budget
+    for budget in range(1, 25):
+        types = [K(b) for b in ("II", "III", "IV", "IV*", "III*", "II*")]
+        types += [KodairaType("I", n) for n in range(1, budget + 1)]
+        types += [KodairaType("I*", n) for n in range(0, budget - 5)]
+        eulers = [
+            t.euler
+            for t in types
+            if t.euler <= budget
+            for o in decoration_outcomes(t)
+            if o.config.entries
+        ]
+        assert trichotomy_sweep(budget).total == gf_total(eulers, budget), budget
+
+
 def _sweep_direct(euler_sum):
     """Reference count: plain multiset recursion over all nontrivial
     outcomes, no knapsack shortcut."""
     from k3pi1.surface import _sweep_items
 
-    items = _sweep_items(euler_sum)
+    items, _ = _sweep_items(euler_sum)
 
     def rec(start, budget):
         count = 1  # take nothing more
         for idx in range(start, len(items)):
-            e = items[idx]["euler"]
+            e = items[idx].euler
             copies = 1
             while copies * e <= budget:
                 count += rec(idx + 1, budget - copies * e)
