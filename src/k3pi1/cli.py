@@ -12,9 +12,12 @@ Subcommands:
 * ``pi1 quotient <repfile> [--subset 1,2,3]``: Z^2 coinvariant quotient,
 * ``enumerate [--euler-sum 24] [--max-report N]``: trichotomy sweep.
 
-``--json`` switches any subcommand to canonical JSON (sorted keys,
-two-space indent, rationals as "p/q" strings).  Exit codes: 0 success,
-1 invalid input, 2 exhausted search or detected sweep inconsistency.
+Each subcommand handler computes its result once and returns (JSON
+payload, text lines, exit code).  ``main`` alone writes stdout: the
+payload as canonical JSON under ``--json`` (sorted keys, two-space
+indent, rationals as "p/q" strings), else the text lines.  It alone
+maps invalid input to exit 1.  Exit codes: 0 success, 1 invalid input,
+2 exhausted search or detected sweep inconsistency.
 
 Configuration files are JSON with exactly one of:
 
@@ -26,7 +29,8 @@ Configuration files are JSON with exactly one of:
 Monodromy entries may also be objects {"matrix": ..., "declared": "I3"};
 with a fibration present, undeclared entries inherit the fiber types.
 Matrix files are either a JSON array of arrays of integers or plain
-text with one whitespace-separated row per line.
+text with one whitespace-separated row per line.  Integers in JSON must
+be JSON integers; in text, ASCII digits with an optional sign.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
 from .dynkin import AdeConfig
 from .kodaira import Decoration, KodairaType, fiber_data
@@ -68,39 +74,45 @@ class InputError(Exception):
         self.field = field
 
 
-def _emit_json(payload: Any) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+@contextmanager
+def _field(field: str) -> Iterator[None]:
+    """Report a ValueError raised in the block as InputError(field, ...)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(field, str(exc)) from exc
 
 
-def _load_json_file(path: str) -> Any:
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _integer(
+    raw: Any, field: str, text: bool = False, message: str = "matrix entries must be integers"
+) -> int:
+    """`raw` as an int, else InputError(field, message): a JSON integer (not a
+    float, string or boolean) or, with `text`, ASCII digits and an optional sign."""
+    if text and _ASCII_INT.fullmatch(raw):
+        with _field(field):  # more digits than int() may convert
+            return int(raw)
+    if not text and type(raw) is int:
+        return raw
+    raise InputError(field, message)
+
+
+def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except OSError as exc:
         raise InputError(path, f"cannot read file: {exc.strerror}") from exc
+
+
+def _load_json_file(path: str, text: str | None = None) -> Any:
+    """The JSON value in file `path`, whose `text` may have been read already."""
+    try:
+        return json.loads(_read_file(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON: {exc}") from exc
-
-
-def _parse_matrix_entry(raw: Any, field: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    matrix = raw
-    declared = None
-    if isinstance(raw, dict):
-        if "matrix" not in raw:
-            raise InputError(field, 'expected a "matrix" key')
-        matrix = raw["matrix"]
-        declared = raw.get("declared")
-    if (
-        not isinstance(matrix, list)
-        or len(matrix) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in matrix)
-    ):
-        raise InputError(field, "expected a 2x2 integer matrix")
-    try:
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
-    except (TypeError, ValueError) as exc:
-        raise InputError(field, "matrix entries must be integers") from exc
-    return mat, declared
 
 
 def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
@@ -108,22 +120,29 @@ def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> M
         raise InputError(field, "expected a list of 2x2 matrices")
     mats = []
     declared: list[KodairaType | None] = []
-    for idx, entry in enumerate(raw):
-        mat, label = _parse_matrix_entry(entry, f"{field}[{idx}]")
-        mats.append(mat)
+    for idx, matrix in enumerate(raw):
+        at = f"{field}[{idx}]"
+        label = None
+        if isinstance(matrix, dict):
+            if "matrix" not in matrix:
+                raise InputError(at, 'expected a "matrix" key')
+            matrix, label = matrix["matrix"], matrix.get("declared")
+        if (
+            not isinstance(matrix, list)
+            or len(matrix) != 2
+            or any(not isinstance(row, list) or len(row) != 2 for row in matrix)
+        ):
+            raise InputError(at, "expected a 2x2 integer matrix")
+        mats.append(tuple(tuple(_integer(x, at) for x in row) for row in matrix))
         if label is not None:
-            try:
+            with _field(f"{at}.declared"):
                 declared.append(KodairaType.parse(label))
-            except ValueError as exc:
-                raise InputError(f"{field}[{idx}].declared", str(exc)) from exc
         elif fibers is not None and idx < len(fibers):
             declared.append(fibers[idx].fiber)
         else:
             declared.append(None)
-    try:
+    with _field(field):
         return MonodromyRep(tuple(mats), tuple(declared))
-    except ValueError as exc:
-        raise InputError(field, str(exc)) from exc
 
 
 def _parse_fiber(raw: Any, field: str) -> Decoration:
@@ -133,13 +152,10 @@ def _parse_fiber(raw: Any, field: str) -> Decoration:
     if not isinstance(label, str):
         raise InputError(f"{field}.kodaira", "label must be a string")
     n = raw.get("n")
-    try:
-        if n is not None:
-            fiber = KodairaType(label, int(n))
-        else:
-            fiber = KodairaType.parse(label)
-    except ValueError as exc:
-        raise InputError(f"{field}.kodaira", str(exc)) from exc
+    if n is not None:
+        n = _integer(n, f"{field}.n", message="must be an integer")
+    with _field(f"{field}.kodaira"):
+        fiber = KodairaType.parse(label) if n is None else KodairaType(label, n)
     removed = raw.get("removed", [])
     if not isinstance(removed, list) or any(not isinstance(c, str) for c in removed):
         raise InputError(f"{field}.removed", "expected a list of component ids")
@@ -168,10 +184,8 @@ def load_config(path: str) -> NormalK3Input:
             not isinstance(s, str) for s in labels
         ):
             raise InputError("singularities", "expected a list of Dynkin labels")
-        try:
+        with _field("singularities"):
             config = AdeConfig.from_labels(labels)
-        except ValueError as exc:
-            raise InputError("singularities", str(exc)) from exc
         return NormalK3Input.bare(config)
     fibration = raw["fibration"]
     if not isinstance(fibration, dict) or "fibers" not in fibration:
@@ -189,32 +203,17 @@ def load_config(path: str) -> NormalK3Input:
 
 
 def _load_matrix_file(path: str) -> list[list[int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(path, f"cannot read file: {exc.strerror}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(path, f"invalid JSON: {exc}") from exc
+    text = _read_file(path)
+    if text.lstrip().startswith("["):
+        raw = _load_json_file(path, text)
         if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
             raise InputError(path, "expected an array of arrays of integers")
-        try:
-            return [[int(x) for x in row] for row in raw]
-        except (TypeError, ValueError) as exc:
-            raise InputError(path, "matrix entries must be integers") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}", "matrix entries must be integers") from exc
+        return [[_integer(x, path) for x in row] for row in raw]
+    rows = [
+        [_integer(tok, f"{path}:{lineno}", text=True) for tok in line.split()]
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
     if not rows:
         raise InputError(path, "empty matrix file")
     return rows
@@ -224,250 +223,202 @@ def _load_matrix_file(path: str) -> list[list[int]]:
 # subcommands
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     report = analyze(load_config(args.file))
-    if args.json:
-        _emit_json(report.to_json_dict())
-        return 0
-    print(f"input: {report.kind}")
-    print(f"r = {report.r}")
-    print(f"e_orb = {report.e_orb}")
-    print(f"singularities: {', '.join(report.config.labels) or '(none)'}")
+    lines = [
+        f"input: {report.kind}",
+        f"r = {report.r}",
+        f"e_orb = {report.e_orb}",
+        f"singularities: {', '.join(report.config.labels) or '(none)'}",
+    ]
     if report.fibers is not None:
         for f in report.fibers:
             removed = ", ".join(sorted(f.decoration.removed)) or "-"
-            print(
+            lines.append(
                 f"fiber {f.decoration.fiber.label}: removed [{removed}] "
                 f"m = {f.m} config [{', '.join(f.removed_config.labels) or '-'}]"
             )
-        print(f"cone orders: {list(report.cone_orders)}")
-        print(f"classification: {_class_name(report.classification)}")
+        lines.append(f"cone orders: {list(report.cone_orders)}")
+        lines.append(f"classification: {_class_name(report.classification)}")
     gate = "passes" if report.gate.passes else "fails"
-    print(f"rank gate (r <= 15): {gate}")
+    lines.append(f"rank gate (r <= 15): {gate}")
     if report.monodromy_quotient is not None:
         note = "" if report.monodromy_quotient_trivial else " (expected trivial)"
-        print(f"monodromy quotient: {report.monodromy_quotient}{note}")
-    print(f"verdict: {report.verdict.kind if report.verdict else 'undetermined'}")
-    return 0
+        lines.append(f"monodromy quotient: {report.monodromy_quotient}{note}")
+    lines.append(f"verdict: {report.verdict.kind if report.verdict else 'undetermined'}")
+    return report.to_json_dict(), lines, 0
 
 
-def _cmd_euler(args) -> int:
-    input_ = load_config(args.file)
-    report = analyze(input_)
-    if args.json:
-        _emit_json(
-            {
-                "r": report.r,
-                "e_orb": _frac_str(report.e_orb),
-                "singularities": list(report.config.labels),
-            }
-        )
-        return 0
-    print(f"r = {report.r}")
-    print(f"e_orb = {report.e_orb}")
-    return 0
+def _cmd_euler(args) -> tuple[dict, list[str], int]:
+    report = analyze(load_config(args.file))
+    full = report.to_json_dict()
+    payload = {key: full[key] for key in ("r", "e_orb", "singularities")}
+    return payload, [f"r = {report.r}", f"e_orb = {report.e_orb}"], 0
 
 
 def _class_name(cls) -> str:
-    if cls.kind == EUCLIDEAN:
-        return "Euclidean"
-    if cls.kind == HYPERBOLIC:
-        return "Hyperbolic"
-    return f"SphericalOrBad({cls.order})"
+    names = {EUCLIDEAN: "Euclidean", HYPERBOLIC: "Hyperbolic"}
+    return names.get(cls.kind, f"SphericalOrBad({cls.order})")
 
 
-def _cmd_orbifold(args) -> int:
-    try:
+def _cmd_orbifold(args) -> tuple[dict, list[str], int]:
+    with _field("--signature"):
         sig = OrbifoldSignature.parse(args.signature)
-    except ValueError as exc:
-        raise InputError("--signature", str(exc)) from exc
+    for token in filter(str.strip, args.signature.split(",")):
+        _integer(token, "--signature", text=True, message="expected ASCII digits")
     chi = orbifold_euler_characteristic(sig)
     cls = classify(sig)
-    if args.json:
-        _emit_json(
-            {
-                "cone_orders": list(sig.cone_orders),
-                "chi": _frac_str(chi),
-                "classification": cls.kind,
-                "order": cls.order,
-            }
-        )
-        return 0
-    print(f"{_class_name(cls)}, chi = {_frac_str(chi)}")
-    return 0
+    payload = {
+        "cone_orders": list(sig.cone_orders),
+        "chi": _frac_str(chi),
+        "classification": cls.kind,
+        "order": cls.order,
+    }
+    return payload, [f"{_class_name(cls)}, chi = {_frac_str(chi)}"], 0
 
 
-def _cmd_lattice_snf(args) -> int:
-    mat = _load_matrix_file(args.matrixfile)
-    res = smith_normal_form(mat)
-    if args.json:
-        _emit_json(
-            {
-                "diagonal": list(res.diagonal),
-                "u": [list(r) for r in res.u],
-                "d": [list(r) for r in res.d],
-                "v": [list(r) for r in res.v],
-            }
-        )
-        return 0
-    print("diagonal:", " ".join(str(x) for x in res.diagonal))
-    return 0
+def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
+    res = smith_normal_form(_load_matrix_file(args.matrixfile))
+    payload = {
+        "diagonal": list(res.diagonal),
+        "u": [list(r) for r in res.u],
+        "d": [list(r) for r in res.d],
+        "v": [list(r) for r in res.v],
+    }
+    return payload, ["diagonal: " + " ".join(str(x) for x in res.diagonal)], 0
 
 
-def _cmd_lattice_isotropic(args) -> int:
-    mat = _load_matrix_file(args.matrixfile)
-    try:
-        gram = IntegerGram.from_rows(mat)
-    except ValueError as exc:
-        raise InputError(args.matrixfile, str(exc)) from exc
+def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
+    with _field(args.matrixfile):
+        gram = IntegerGram.from_rows(_load_matrix_file(args.matrixfile))
     if args.bound < 1:
         raise InputError("--bound", "must be a positive integer")
     report = meyer_gate(gram, args.bound)
-    if args.json:
-        _emit_json(
-            {
-                "signature": list(report.signature),
-                "bound": report.bound,
-                "vector": list(report.vector) if report.vector else None,
-                "hypotheses_hold": report.hypotheses_hold,
-                "hypotheses_hold_but_exhausted": report.hypotheses_hold_but_exhausted,
-            }
-        )
-        return 0 if report.vector else 2
+    payload = {
+        "signature": list(report.signature),
+        "bound": report.bound,
+        "vector": list(report.vector) if report.vector else None,
+        "hypotheses_hold": report.hypotheses_hold,
+        "hypotheses_hold_but_exhausted": report.hypotheses_hold_but_exhausted,
+    }
     pos, neg, null = report.signature
     hyp = "hold" if report.hypotheses_hold else "fail"
-    print(f"signature ({pos},{neg},{null}), Meyer hypotheses {hyp}")
+    lines = [f"signature ({pos},{neg},{null}), Meyer hypotheses {hyp}"]
     if report.vector is not None:
-        print(f"isotropic vector: ({', '.join(str(c) for c in report.vector)})")
-        return 0
-    print(f"exhausted: no isotropic vector with coordinates in [-{args.bound}, {args.bound}]")
+        lines.append(f"isotropic vector: ({', '.join(str(c) for c in report.vector)})")
+        return payload, lines, 0
+    lines.append(
+        f"exhausted: no isotropic vector with coordinates in [-{args.bound}, {args.bound}]"
+    )
     if report.hypotheses_hold_but_exhausted:
-        print("warning: hypotheses hold, increase the bound")
-    return 2
+        lines.append("warning: hypotheses hold, increase the bound")
+    return payload, lines, 2
 
 
-def _cmd_lattice_k3(args) -> int:
+def _cmd_lattice_k3(args) -> tuple[dict, list[str], int]:
     gram = k3_gram()
     det = determinant(gram.rows)
     pos, neg, null = signature(gram)
-    if args.json:
-        _emit_json(
-            {
-                "dim": gram.dim,
-                "even": gram.is_even,
-                "det": det,
-                "signature": [pos, neg, null],
-            }
-        )
-        return 0
+    payload = {
+        "dim": gram.dim,
+        "even": gram.is_even,
+        "det": det,
+        "signature": [pos, neg, null],
+    }
     even = "even" if gram.is_even else "odd"
-    print(f"dim {gram.dim}, {even}, det {det}, signature ({pos},{neg})")
-    return 0
+    return payload, [f"dim {gram.dim}, {even}, det {det}, signature ({pos},{neg})"], 0
 
 
-def _cmd_kodaira_info(args) -> int:
-    try:
+def _cmd_kodaira_info(args) -> tuple[dict, list[str], int]:
+    with _field("label"):
         fiber = KodairaType.parse(args.label)
-    except ValueError as exc:
-        raise InputError("label", str(exc)) from exc
     data = fiber_data(fiber)
-    if args.json:
-        _emit_json(
-            {
-                "label": fiber.label,
-                "euler": data.euler,
-                "components": [
-                    {"id": cid, "multiplicity": m} for cid, m in data.components
-                ],
-                "dual_graph": [list(edge) for edge in data.dual_graph],
-                "monodromy": [list(row) for row in data.monodromy],
-            }
-        )
-        return 0
-    print(f"fiber {fiber.label}: euler {data.euler}")
+    payload = {
+        "label": fiber.label,
+        "euler": data.euler,
+        "components": [{"id": cid, "multiplicity": m} for cid, m in data.components],
+        "dual_graph": [list(edge) for edge in data.dual_graph],
+        "monodromy": [list(row) for row in data.monodromy],
+    }
     comps = ", ".join(f"{cid}:{m}" for cid, m in data.components)
-    print(f"components: {comps}")
+    lines = [f"fiber {fiber.label}: euler {data.euler}", f"components: {comps}"]
     if data.dual_graph:
         edges = ", ".join(
             f"{u}-{v}" + (f" (x{w})" if w > 1 else "") for u, v, w in data.dual_graph
         )
-        print(f"dual graph: {edges}")
-    print(f"monodromy: {data.monodromy[0]} {data.monodromy[1]}")
-    return 0
+        lines.append(f"dual graph: {edges}")
+    lines.append(f"monodromy: {data.monodromy[0]} {data.monodromy[1]}")
+    return payload, lines, 0
 
 
-def _cmd_pi1_quotient(args) -> int:
-    raw = _load_json_file(args.repfile)
-    rep = _parse_monodromy(raw, args.repfile, None)
-    try:
+def _cmd_pi1_quotient(args) -> tuple[dict, list[str], int]:
+    rep = _parse_monodromy(_load_json_file(args.repfile), args.repfile, None)
+    with _field(args.repfile):
         validate_representation(rep)
-    except ValueError as exc:
-        raise InputError(args.repfile, str(exc)) from exc
     subset = None
     if args.subset is not None:
-        try:
-            one_based = [int(tok) for tok in args.subset.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise InputError("--subset", "expected comma-separated indices") from exc
+        one_based = [
+            _integer(tok, "--subset", text=True, message="expected comma-separated indices")
+            for tok in filter(str.strip, args.subset.split(","))
+        ]
         if any(j < 1 or j > len(rep) for j in one_based):
             raise InputError("--subset", f"indices must be in 1..{len(rep)}")
         subset = [j - 1 for j in one_based]
     group = coinvariant_quotient(rep, subset)
-    if args.json:
-        _emit_json(
-            {
-                "invariant_factors": list(group.invariant_factors),
-                "description": group.describe(),
-                "order": group.order,
-            }
-        )
-        return 0
+    payload = {
+        "invariant_factors": list(group.invariant_factors),
+        "description": group.describe(),
+        "order": group.order,
+    }
     factors = ", ".join(str(d) for d in group.invariant_factors) or "-"
-    print(f"quotient: {group.describe()} (invariant factors: {factors})")
-    return 0
+    return payload, [f"quotient: {group.describe()} (invariant factors: {factors})"], 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict, list[str], int]:
     if args.euler_sum < 1:
         raise InputError("--euler-sum", "must be a positive integer")
+    if args.max_report < 0:
+        raise InputError("--max-report", "must be a non-negative integer")
     result = trichotomy_sweep(args.euler_sum, collect_limit=args.max_report)
-    if args.json:
-        _emit_json(
+    reported = result.euclidean[: args.max_report]
+    payload = {
+        "euler_sum": args.euler_sum,
+        "total": result.total,
+        "counts": result.counts,
+        "euclidean": [
             {
-                "euler_sum": args.euler_sum,
-                "total": result.total,
-                "counts": result.counts,
-                "euclidean": [
-                    {
-                        "cone_orders": list(inst.cone_orders),
-                        "r": inst.r,
-                        "e_orb": _frac_str(inst.e_orb),
-                        "outcomes": [
-                            {
-                                "kodaira": label,
-                                "m": m,
-                                "removed_config": list(cfg),
-                                "count": count,
-                            }
-                            for label, m, cfg, count in inst.outcomes
-                        ],
-                    }
-                    for inst in result.euclidean[: args.max_report]
+                "cone_orders": list(inst.cone_orders),
+                "r": inst.r,
+                "e_orb": _frac_str(inst.e_orb),
+                "outcomes": [
+                    {"kodaira": label, "m": m, "removed_config": list(cfg), "count": count}
+                    for label, m, cfg, count in inst.outcomes
                 ],
-                "violations": result.violations,
             }
-        )
-        return 0 if result.consistent else 2
-    print(f"classes with euler sum <= {args.euler_sum}: {result.total}")
+            for inst in reported
+        ],
+        "violations": result.violations,
+    }
+    lines = [f"classes with euler sum <= {args.euler_sum}: {result.total}"]
     for kind in ("spherical_or_bad", "euclidean", "hyperbolic"):
-        print(f"  {kind}: {result.counts[kind]}")
-    for inst in result.euclidean[: args.max_report]:
-        print(f"  euclidean instance: {inst.describe()}")
-    if result.violations:
+        lines.append(f"  {kind}: {result.counts[kind]}")
+    lines += [f"  euclidean instance: {inst.describe()}" for inst in reported]
+    if not args.json:
         for v in result.violations[: args.max_report]:
             print(f"violation: {v}", file=sys.stderr)
-        return 2
-    return 0
+    return payload, lines, 0 if result.consistent else 2
+
+
+def _leaf(parent, name: str, help: str, func, *positionals: str, **options: dict) -> None:
+    """Add subcommand `name`: positionals, options (``euler_sum=...`` is
+    ``--euler-sum``), then ``--json``, which --help lists after the others."""
+    p = parent.add_parser(name, help=help)
+    for positional in positionals:
+        p.add_argument(positional)
+    for option, kwargs in options.items():
+        p.add_argument("--" + option.replace("_", "-"), **kwargs)
+    p.add_argument("--json", action="store_true", help="canonical JSON output")
+    p.set_defaults(func=func)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,79 +430,52 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="canonical JSON output")
-
-    p = sub.add_parser("analyze", help="full pipeline report for a config file")
-    p.add_argument("file")
-    add_json(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("euler", help="rank and orbifold Euler number")
-    p.add_argument("file")
-    add_json(p)
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("orbifold", help="classify a cone-order signature")
-    p.add_argument("--signature", required=True, help='e.g. "2,3,5"')
-    add_json(p)
-    p.set_defaults(func=_cmd_orbifold)
+    _leaf(sub, "analyze", "full pipeline report for a config file", _cmd_analyze, "file")
+    _leaf(sub, "euler", "rank and orbifold Euler number", _cmd_euler, "file")
+    _leaf(
+        sub, "orbifold", "classify a cone-order signature", _cmd_orbifold,
+        signature=dict(required=True, help='e.g. "2,3,5"'),
+    )
 
     lattice = sub.add_parser("lattice", help="integer lattice tools")
     lat_sub = lattice.add_subparsers(dest="lattice_command", required=True)
-
-    p = lat_sub.add_parser("snf", help="Smith normal form of a matrix file")
-    p.add_argument("matrixfile")
-    add_json(p)
-    p.set_defaults(func=_cmd_lattice_snf)
-
-    p = lat_sub.add_parser("isotropic", help="bounded isotropic vector search")
-    p.add_argument("matrixfile")
-    p.add_argument("--bound", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_lattice_isotropic)
-
-    p = lat_sub.add_parser("k3", help="the rank-22 even unimodular lattice")
-    p.add_argument("--info", action="store_true", help="print the lattice data")
-    add_json(p)
-    p.set_defaults(func=_cmd_lattice_k3)
+    _leaf(lat_sub, "snf", "Smith normal form of a matrix file", _cmd_lattice_snf, "matrixfile")
+    _leaf(
+        lat_sub, "isotropic", "bounded isotropic vector search", _cmd_lattice_isotropic,
+        "matrixfile", bound=dict(type=int, required=True),
+    )
+    _leaf(
+        lat_sub, "k3", "the rank-22 even unimodular lattice", _cmd_lattice_k3,
+        info=dict(action="store_true", help="print the lattice data"),
+    )
 
     kodaira = sub.add_parser("kodaira", help="Kodaira fiber tables")
     kod_sub = kodaira.add_subparsers(dest="kodaira_command", required=True)
-    p = kod_sub.add_parser("info", help="table entry for one fiber type")
-    p.add_argument("label")
-    add_json(p)
-    p.set_defaults(func=_cmd_kodaira_info)
+    _leaf(kod_sub, "info", "table entry for one fiber type", _cmd_kodaira_info, "label")
 
     pi1 = sub.add_parser("pi1", help="monodromy computations")
     pi1_sub = pi1.add_subparsers(dest="pi1_command", required=True)
-    p = pi1_sub.add_parser("quotient", help="Z^2 coinvariant quotient")
-    p.add_argument("repfile")
-    p.add_argument("--subset", help="1-based fiber indices, e.g. 1,2,3")
-    add_json(p)
-    p.set_defaults(func=_cmd_pi1_quotient)
+    _leaf(
+        pi1_sub, "quotient", "Z^2 coinvariant quotient", _cmd_pi1_quotient,
+        "repfile", subset=dict(help="1-based fiber indices, e.g. 1,2,3"),
+    )
 
-    p = sub.add_parser("enumerate", help="exhaustive trichotomy sweep")
-    p.add_argument("--euler-sum", type=int, default=24)
-    p.add_argument("--max-report", type=int, default=10)
-    add_json(p)
-    p.set_defaults(func=_cmd_enumerate)
-
+    _leaf(
+        sub, "enumerate", "exhaustive trichotomy sweep", _cmd_enumerate,
+        euler_sum=dict(type=int, default=24), max_report=dict(type=int, default=10),
+    )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        payload, lines, code = args.func(args)
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 def entry() -> None:

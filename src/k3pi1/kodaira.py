@@ -424,7 +424,7 @@ def _arc_ids(ids: list[str], arcs: Sequence[int], pos: int) -> list[str]:
 
 
 def _outcomes_cycle(t: KodairaType) -> tuple[DecorationOutcome, ...]:
-    """Outcome classes for I_n, n >= 3, without subset enumeration.
+    """Outcome classes for I_n, n >= 1, without subset enumeration.
 
     Removed sets are disjoint unions of arcs of the n-cycle with at
     least one kept component between consecutive arcs; the outcome is
@@ -507,13 +507,13 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """All decoration classes of a fiber type, one representative each,
     sorted by (m, removed config).
 
-    I_n with n >= 3 and every I*_n use the structural enumerations
-    above, which build each outcome once; the tests check them against
-    brute force.  Only II ... II*, I_1 and I_2, with at most 9
-    components, are enumerated by brute force over subsets.
+    Every I_n and I*_n uses the structural enumerations above, which
+    build each outcome once; the tests check them against brute force.
+    Only II ... II*, with at most 9 components, are enumerated by brute
+    force over subsets.
     """
     if t.base == "I*":
         return _outcomes_istar(t)
-    if t.base == "I" and t.n >= 3:
+    if t.base == "I":
         return _outcomes_cycle(t)
     return _outcomes_by_subsets(t)

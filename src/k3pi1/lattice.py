@@ -421,16 +421,12 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
         values.append(-v)
 
     def quad_range(c: int, a: int) -> tuple[int, int]:
-        # extremes of a v^2 + 2 c v over integer v in [-B, B]
+        # extremes of a v^2 + 2 c v over integer v in [-B, B]: at +-B or beside -c/a
         lo = hi = 0
-        for v in (bound, -bound):
-            val = a * v * v + 2 * c * v
-            lo = min(lo, val)
-            hi = max(hi, val)
-        if a:
-            vertex = round(Fraction(-c, a))
-            if -bound <= vertex <= bound:
-                val = a * vertex * vertex + 2 * c * vertex
+        near_vertex = ((-c) // a, (-c) // a + 1) if a else ()
+        for v in (bound, -bound) + near_vertex:
+            if -bound <= v <= bound:  # a clamped neighbour would be an end
+                val = a * v * v + 2 * c * v
                 lo = min(lo, val)
                 hi = max(hi, val)
         return lo, hi

@@ -1,23 +1,25 @@
 """Tests for the command-line interface."""
 
+import argparse
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from k3pi1.cli import InputError, load_config, main
+from k3pi1.cli import InputError, _build_parser, load_config, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = Path(__file__).parent / "cli_corpus.json"
 
 
 def run_cli(*args):
     """Invoke the CLI in-process, capturing stdout/stderr."""
-    import contextlib
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(args))
@@ -83,6 +85,9 @@ def test_orbifold_bad_signature():
     code, out, err = run_cli("orbifold", "--signature", "2,x")
     assert code == 1
     assert "--signature" in err
+    code, out, err = run_cli("orbifold", "--signature", "2,\u0663,5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --signature:")
 
 
 def test_lattice_k3_info():
@@ -103,6 +108,18 @@ def test_lattice_snf(tmp_path):
     code, out, _ = run_cli("lattice", "snf", str(mat), "--json")
     payload = json.loads(out)
     assert payload["diagonal"] == [1, 6]
+
+    mat.write_text('[[1.5, 0], [0, "2"]]')
+    code, out, err = run_cli("lattice", "snf", str(mat))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {mat}: matrix entries must be integers")
+    text = tmp_path / "m.txt"
+    text.write_text("2 0\n1 \u0663\n", encoding="utf-8")
+    code, out, err = run_cli("lattice", "snf", str(text))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {text}:2:")
+    text.write_text("+3 -2\n-2 +4\n")
+    assert run_cli("lattice", "snf", str(text)) == (0, "diagonal: 1 8\n", "")
 
 
 def test_lattice_snf_text_format():
@@ -149,6 +166,11 @@ def test_pi1_quotient():
     )
     assert code == 1
     assert "--subset" in err
+    code, out, err = run_cli(
+        "pi1", "quotient", str(FIXTURES / "rep_four_istar0.json"), "--subset", "\u0661"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --subset:")
 
 
 def test_enumerate_small_budget():
@@ -157,6 +179,11 @@ def test_enumerate_small_budget():
     payload = json.loads(out)
     assert payload["counts"]["hyperbolic"] == 0
     assert payload["violations"] == []
+    # a negative report limit used to truncate the lists silently
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli("enumerate", "--euler-sum", "24", "--max-report", "-1", *mode)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --max-report:")
 
 
 def test_invalid_config_errors_name_the_field(tmp_path):
@@ -184,6 +211,20 @@ def test_invalid_config_errors_name_the_field(tmp_path):
     code, out, err = run_cli("analyze", str(tmp_path / "missing.json"))
     assert code == 1
     assert "missing.json" in err
+
+    # integer fields must be JSON integers: no floats, strings or booleans
+    for n in (3.7, "\u0663", "3", True):
+        bad.write_text(json.dumps({"fibration": {"fibers": [{"kodaira": "I", "n": n}]}}))
+        code, out, err = run_cli("analyze", str(bad))
+        assert (code, out) == (1, ""), n
+        assert err.startswith("error: fibration.fibers[0].n:"), n
+    for entry in (-1.9, True):
+        mats = [[[-1, 0], [0, -1]], [[entry, 0], [0, -1]]] + [[[-1, 0], [0, -1]]] * 2
+        fibers = [{"kodaira": "I*0"}] * 4
+        bad.write_text(json.dumps({"fibration": {"fibers": fibers}, "monodromy": mats}))
+        code, out, err = run_cli("analyze", str(bad))
+        assert (code, out) == (1, ""), entry
+        assert err.startswith("error: monodromy[1]:"), entry
 
 
 def test_noncanonical_labels_exit_1_naming_the_field(tmp_path):
@@ -286,3 +327,59 @@ def test_subprocess_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.decode() == (GOLDEN / "kummer_report.json").read_text()
+
+
+def run_corpus_case(argv):
+    """(exit code, stdout, first stderr line) of one in-process run;
+    argparse's own exits (--help, usage errors) count too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().partition("\n")[0]
+
+
+def _leaf_commands(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, path + (name,))
+
+
+def test_cli_golden_corpus(tmp_path, monkeypatch):
+    """Every case in cli_corpus.json keeps its exact stdout, exit code and
+    first stderr line.  The expected values were captured from the CLI
+    itself; new behaviour gets new cases, existing cases stay as they are.
+    The inputs are the fixtures plus the corpus's own small files, run
+    from one directory so that messages naming a path do not depend on it."""
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    for name, content in corpus["files"].items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+
+    mismatched = [
+        case["argv"]
+        for case in corpus["cases"]
+        if run_corpus_case(case["argv"]) != (case["code"], case["stdout"], case["stderr"])
+    ]
+    assert mismatched == []
+
+    # every leaf subcommand has a successful run in text and in --json mode
+    covered = {
+        (tuple(case["argv"][:depth]), "--json" in case["argv"])
+        for case in corpus["cases"]
+        if case["code"] == 0 and "--help" not in case["argv"]
+        for depth in (1, 2)
+    }
+    leaves = list(_leaf_commands(_build_parser()))
+    assert len(leaves) == 9
+    assert [
+        (leaf, as_json) for leaf in leaves for as_json in (False, True)
+        if (leaf, as_json) not in covered
+    ] == []
