@@ -105,6 +105,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(path, f"cannot read file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(path, f"not UTF-8 text (byte {exc.start})") from exc
 
 
 def _load_json_file(path: str, text: str | None = None) -> Any:
@@ -113,6 +115,10 @@ def _load_json_file(path: str, text: str | None = None) -> Any:
         return json.loads(_read_file(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # json.loads' int() refused the digit count
+        raise InputError(path, "an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise InputError(path, "JSON nested too deeply") from exc
 
 
 def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
@@ -135,6 +141,8 @@ def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> M
             raise InputError(at, "expected a 2x2 integer matrix")
         mats.append(tuple(tuple(_integer(x, at) for x in row) for row in matrix))
         if label is not None:
+            if not isinstance(label, str):
+                raise InputError(f"{at}.declared", "label must be a string")
             with _field(f"{at}.declared"):
                 declared.append(KodairaType.parse(label))
         elif fibers is not None and idx < len(fibers):

@@ -153,11 +153,8 @@ class AdeConfig:
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.entries)
 
-    def union(self, other: "AdeConfig") -> "AdeConfig":
-        return AdeConfig(self.entries + other.entries)
-
     def __add__(self, other: "AdeConfig") -> "AdeConfig":
-        return self.union(other)
+        return AdeConfig(self.entries + other.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dynkin import AdeConfig, local_euler_contribution
 from .kodaira import (
@@ -339,43 +338,53 @@ class SweepResult:
 
 
 class SweepItem(NamedTuple):
-    """One nontrivial decoration outcome within the sweep budget;
-    `scaled` is its local Euler contribution times the sweep's common
-    denominator."""
+    """One nontrivial decoration outcome within the sweep budget."""
 
     type: KodairaType
     euler: int
     m: int
     config: AdeConfig
-    rank: int
-    scaled: int
-    removed: frozenset[str]
 
 
-def _sweep_items(euler_sum: int) -> tuple[list[SweepItem], int]:
+def _sweep_items(euler_sum: int) -> list[SweepItem]:
     """All (fiber type, nontrivial outcome) pairs with euler <= budget,
-    and the common denominator of their scaled contributions."""
+    by increasing Euler number."""
     types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
     types += [KodairaType("I", n) for n in range(1, euler_sum + 1)]
     types += [KodairaType("I*", n) for n in range(0, euler_sum - 5)]
     types.sort(key=lambda t: (t.euler, t.label))
-    tables = [(t, decoration_outcomes(t)) for t in types if t.euler <= euler_sum]
-    # keyed by (kind, n): tuples hash and compare without Python calls
-    distinct = {(p.kind, p.n): p for _, tab in tables for o in tab for p in o.config.entries}
-    contrib = {key: local_euler_contribution(p) for key, p in distinct.items()}
-    denom = lcm(*(c.denominator for c in contrib.values()))
-    scaled = {key: c.numerator * (denom // c.denominator) for key, c in contrib.items()}
+    return [
+        SweepItem(t, t.euler, o.m, o.config)
+        for t in types
+        if t.euler <= euler_sum
+        for o in decoration_outcomes(t)
+        if o.config.entries
+    ]
 
-    items = []
-    for t, table in tables:
-        for o in table:
-            if o.config.entries:
-                rank = value = 0
-                for p in o.config.entries:
-                    rank += p.n
-                    value += scaled[p.kind, p.n]
-                items.append(SweepItem(t, t.euler, o.m, o.config, rank, value, o.removed))
-    return items, denom
+
+def _multisets(
+    items: Sequence[SweepItem], budget: int
+) -> Iterator[tuple[list[tuple[SweepItem, int]], int]]:
+    """Every multiset of `items` (sorted by Euler number) whose total
+    Euler number is at most `budget`, depth first from the empty one:
+    yields the (item, count) pairs chosen and the budget left.  The
+    yielded list is reused; copy it to keep it."""
+    chosen: list[tuple[SweepItem, int]] = []
+
+    def rec(start: int, budget: int):
+        yield chosen, budget
+        for idx in range(start, len(items)):
+            it = items[idx]
+            if it.euler > budget:
+                break
+            count, left = 1, budget - it.euler
+            while left >= 0:
+                chosen.append((it, count))
+                yield from rec(idx + 1, left)
+                chosen.pop()
+                count, left = count + 1, left - it.euler
+
+    return rec(0, budget)
 
 
 def trichotomy_sweep(
@@ -396,12 +405,14 @@ def trichotomy_sweep(
     expanded one by one only for euclidean or hyperbolic cone parts,
     where each full instance is checked against r >= 16, orbifold Euler
     number zero, and the rank gate.  Hyperbolic instances and failed
-    checks are recorded as violations.  Euler contributions are summed
-    as integers over one common denominator; only reported instances
-    carry their orbifold Euler number as a Fraction.
+    checks are recorded as violations.
+
+    The budget stands in for 24: an instance's orbifold Euler number is
+    reported as euler_sum - sum(n + 1 - 1/delta), the K3 value only when
+    euler_sum is 24.  Above 24, every hyperbolic class and every
+    euclidean class with a nonzero value is therefore a violation.
     """
-    items, denom = _sweep_items(euler_sum)
-    full_scaled = euler_sum * denom
+    items = _sweep_items(euler_sum)
     cone_items = [it for it in items if it.m >= 2]
     flat_items = [it for it in items if it.m == 1]
 
@@ -424,98 +435,44 @@ def trichotomy_sweep(
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
         return classify(OrbifoldSignature(cones))
 
-    cone_chosen: list[tuple[int, int]] = []  # (cone item index, count)
-    flat_chosen: list[tuple[int, int]] = []
-
-    def build_instance(cones, cls, r, e_orb) -> SweepInstance:
-        outcomes = []
-        for source, chosen in ((cone_items, cone_chosen), (flat_items, flat_chosen)):
-            for idx, count in chosen:
-                it = source[idx]
-                outcomes.append((it.type.label, it.m, it.config.labels, count))
-        return SweepInstance(
-            outcomes=tuple(outcomes),
-            cone_orders=cones,
-            classification=cls.kind,
-            r=r,
-            e_orb=e_orb,
-        )
-
-    def check_infinite_instance(cones, cls, r: int, scaled: int) -> None:
-        e_orb = Fraction(full_scaled - scaled, denom)
-        instance = build_instance(cones, cls, r, e_orb)
-        if cls.kind == HYPERBOLIC:
-            if collect_limit is None or len(hyperbolic) < collect_limit:
-                hyperbolic.append(instance)
-            violations.append(f"hyperbolic instance: {instance.describe()}")
-        else:
-            if collect_limit is None or len(euclidean) < collect_limit:
-                euclidean.append(instance)
-            if r < 16:
-                violations.append(
-                    f"euclidean instance with r < 16: {instance.describe()}"
-                )
-            if e_orb != 0:
-                violations.append(
-                    f"euclidean instance with e_orb != 0: {instance.describe()}"
-                )
-        if r <= RANK_GATE_BOUND:
-            violations.append(
-                f"rank gate passed on an infinite class: {instance.describe()}"
-            )
-
-    def expand_completions(cones, cls, start: int, budget: int, r: int, scaled: int) -> None:
-        nonlocal total
-        total += 1
-        counts[cls.kind] += 1
-        check_infinite_instance(cones, cls, r, scaled)
-        for idx in range(start, len(flat_items)):
-            it = flat_items[idx]
-            e = it.euler
-            if e > budget:
-                break
-            count = 0
-            left = budget
-            while left >= e:
-                count += 1
-                left -= e
-                flat_chosen.append((idx, count))
-                expand_completions(
-                    cones, cls, idx + 1, left,
-                    r + count * it.rank, scaled + count * it.scaled,
-                )
-                flat_chosen.pop()
-
-    cone_stack: list[int] = []
-
-    def rec(start: int, budget: int, r: int, scaled: int) -> None:
-        nonlocal total
-        cones = tuple(sorted(cone_stack))
+    for cone_part, budget in _multisets(cone_items, euler_sum):
+        cones = tuple(sorted(it.m for it, n in cone_part for _ in range(n)))
         cls = classify_cones(cones)
         if cls.kind == SPHERICAL_OR_BAD:
-            n = completions_within[budget]
-            total += n
-            counts[SPHERICAL_OR_BAD] += n
-        else:
-            expand_completions(cones, cls, 0, budget, r, scaled)
-        for idx in range(start, len(cone_items)):
-            it = cone_items[idx]
-            e = it.euler
-            if e > budget:
-                break
-            m = it.m
-            count = 0
-            left = budget
-            while left >= e:
-                count += 1
-                left -= e
-                cone_stack.append(m)
-                cone_chosen.append((idx, count))
-                rec(idx + 1, left, r + count * it.rank, scaled + count * it.scaled)
-                cone_chosen.pop()
-            del cone_stack[len(cone_stack) - count :]
+            total += completions_within[budget]
+            counts[SPHERICAL_OR_BAD] += completions_within[budget]
+            continue
+        for flat_part, _ in _multisets(flat_items, budget):
+            total += 1
+            counts[cls.kind] += 1
+            chosen = cone_part + flat_part
+            config = AdeConfig(tuple(p for it, n in chosen for p in it.config.entries * n))
+            r = config.rank
+            e_orb = euler_sum - K3_EULER_NUMBER + orbifold_euler_number(config)
+            instance = SweepInstance(
+                outcomes=tuple((it.type.label, it.m, it.config.labels, n) for it, n in chosen),
+                cone_orders=cones,
+                classification=cls.kind,
+                r=r,
+                e_orb=e_orb,
+            )
+            reported = hyperbolic if cls.kind == HYPERBOLIC else euclidean
+            if collect_limit is None or len(reported) < collect_limit:
+                reported.append(instance)
+            if cls.kind == HYPERBOLIC:
+                violations.append(f"hyperbolic instance: {instance.describe()}")
+            else:
+                if r < 16:
+                    violations.append(f"euclidean instance with r < 16: {instance.describe()}")
+                if e_orb != 0:
+                    violations.append(
+                        f"euclidean instance with e_orb != 0: {instance.describe()}"
+                    )
+            if r <= RANK_GATE_BOUND:
+                violations.append(
+                    f"rank gate passed on an infinite class: {instance.describe()}"
+                )
 
-    rec(0, euler_sum, 0, 0)
     return SweepResult(
         total=total,
         counts=counts,

@@ -225,6 +225,27 @@ def test_invalid_config_errors_name_the_field(tmp_path):
         code, out, err = run_cli("analyze", str(bad))
         assert (code, out) == (1, ""), entry
         assert err.startswith("error: monodromy[1]:"), entry
+    mats = [{"matrix": [[-1, 0], [0, -1]], "declared": 3}] * 4
+    bad.write_text(json.dumps({"fibration": {"fibers": fibers}, "monodromy": mats}))
+    code, out, err = run_cli("analyze", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: monodromy[0].declared:")
+
+
+def test_unreadable_input_files_exit_1_naming_the_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    cases = [
+        ('{"singularities": ["A1"], "note": "caf\xe9"}'.encode("latin-1"), "not UTF-8"),
+        (b"[[1" + b"0" * 5000 + b"]]", "too many digits"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ]
+    for content, reason in cases:
+        bad.write_bytes(content)
+        for command in (["analyze"], ["lattice", "snf"]):
+            code, out, err = run_cli(*command, str(bad))
+            assert (code, out) == (1, ""), (command, reason)
+            assert err.startswith(f"error: {bad}:") and reason in err, (command, reason)
+            assert err.count("\n") == 1, (command, reason)
 
 
 def test_noncanonical_labels_exit_1_naming_the_field(tmp_path):

@@ -192,33 +192,64 @@ def test_trichotomy_sweep_finds_kummer_class_at_16_plus_6():
     assert res.counts["hyperbolic"] == 0
 
 
+def test_trichotomy_sweep_above_24_reports_budget_minus_contributions():
+    # e_orb is B - sum(n + 1 - 1/delta), the K3 value only at B = 24, so
+    # every euclidean class at B = 26 has e_orb != 0 and is a violation,
+    # as is every hyperbolic one
+    res = trichotomy_sweep(26)
+    assert res.total == 36_446_820
+    assert res.counts == {"spherical_or_bad": 36_446_718, "euclidean": 77, "hyperbolic": 25}
+    assert len(res.violations) == 102
+    assert res.euclidean[0].describe() == (
+        "euclidean cones=[2, 3, 6] r=18 e_orb=2 via 1 x I*0[m=2; A1+A1+A1+A1], "
+        "1 x IV*[m=3; A2+A2+A2], 1 x II*[m=6; A1+A2+A5]"
+    )
+
+
+def test_trichotomy_sweep_at_30():
+    res = trichotomy_sweep(30)
+    assert res.total == 420_903_936
+    assert res.counts == {
+        "spherical_or_bad": 420_896_062, "euclidean": 5_397, "hyperbolic": 2_477
+    }
+    assert len(res.violations) == 7_874
+    assert res.violations[0] == (
+        "euclidean instance with e_orb != 0: euclidean cones=[2, 2, 2, 2] r=17 "
+        "e_orb=21/4 via 1 x I*0[m=2; A1+A1+A1+A1], 1 x I*1[m=2; A1+A1+A1+A1], "
+        "1 x I*1[m=2; A1+A1+A3], 1 x I*2[m=2; A1+A1+A1+A1]"
+    )
+
+
+def _outcome_eulers(budget):
+    """Euler number of every nontrivial outcome of every fiber type that
+    fits the budget, read from the public decoration_outcomes tables."""
+    types = [K(b) for b in ("II", "III", "IV", "IV*", "III*", "II*")]
+    types += [KodairaType("I", n) for n in range(1, budget + 1)]
+    types += [KodairaType("I*", n) for n in range(0, budget - 5)]
+    return [
+        t.euler
+        for t in types
+        if t.euler <= budget
+        for o in decoration_outcomes(t)
+        if o.config.entries
+    ]
+
+
 def test_trichotomy_sweep_totals_match_generating_function():
     # a sweep class is a multiset of nontrivial outcomes within the budget
     for budget in range(1, 25):
-        types = [K(b) for b in ("II", "III", "IV", "IV*", "III*", "II*")]
-        types += [KodairaType("I", n) for n in range(1, budget + 1)]
-        types += [KodairaType("I*", n) for n in range(0, budget - 5)]
-        eulers = [
-            t.euler
-            for t in types
-            if t.euler <= budget
-            for o in decoration_outcomes(t)
-            if o.config.entries
-        ]
-        assert trichotomy_sweep(budget).total == gf_total(eulers, budget), budget
+        assert trichotomy_sweep(budget).total == gf_total(_outcome_eulers(budget), budget), budget
 
 
 def _sweep_direct(euler_sum):
     """Reference count: plain multiset recursion over all nontrivial
     outcomes, no knapsack shortcut."""
-    from k3pi1.surface import _sweep_items
-
-    items, _ = _sweep_items(euler_sum)
+    eulers = _outcome_eulers(euler_sum)
 
     def rec(start, budget):
         count = 1  # take nothing more
-        for idx in range(start, len(items)):
-            e = items[idx].euler
+        for idx in range(start, len(eulers)):
+            e = eulers[idx]
             copies = 1
             while copies * e <= budget:
                 count += rec(idx + 1, budget - copies * e)
