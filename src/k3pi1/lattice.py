@@ -6,15 +6,17 @@ configurations and of the rank-22 even unimodular lattice of signature
 complements, and bounded search for isotropic vectors (the evidence
 side of Meyer's theorem on indefinite forms of rank >= 5).
 
-No floating point is used anywhere: matrices are Python integers and
-the signature routine works over Fraction.
+No floating point is used anywhere: matrices are Python integers, and
+one congruence diagonaliser over Fraction gives both the signature and
+the pivots of the search's anisotropy test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import isqrt, prod
 from typing import Sequence
 
 from .dynkin import AdeConfig, DuValType
@@ -292,35 +294,29 @@ def k3_gram() -> IntegerGram:
     )
 
 
-def signature(g: IntegerGram) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric integer matrix.
-
-    Computed by symmetric congruence elimination over Fraction, with
-    the usual rank-2 trick when the trailing diagonal is entirely zero.
+def _pivots(rows: Matrix) -> tuple[list[Fraction], int]:
+    """Nonzero pivots of an exact congruence diagonalisation over
+    Fraction, and the first step that met a zero diagonal entry, whose
+    basis vector is then isotropic (the dimension if none did).  Until
+    that step no rows are swapped, so the first m pivots diagonalise the
+    leading m x m block; past it, the rank-2 trick covers a zero diagonal.
     """
-    n = g.dim
-    mat = [[Fraction(x) for x in row] for row in g.rows]
-    pos = neg = null = 0
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[Fraction] = []
+    zero_at = n
     for k in range(n):
         if mat[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if mat[i][i] != 0:
-                    swap = i
-                    break
+            zero_at = min(zero_at, k)
+            swap = next((i for i in range(k + 1, n) if mat[i][i]), None)
+            off = next((i for i in range(k + 1, n) if mat[k][i]), None)
             if swap is not None:
                 mat[k], mat[swap] = mat[swap], mat[k]
                 for row in mat:
                     row[k], row[swap] = row[swap], row[k]
+            elif off is None:
+                continue
             else:
-                off = None
-                for i in range(k + 1, n):
-                    if mat[k][i] != 0:
-                        off = i
-                        break
-                if off is None:
-                    null += 1
-                    continue
                 # both diagonals vanish: adding row/col `off` makes
                 # the pivot 2 * mat[k][off] != 0
                 for j in range(n):
@@ -328,18 +324,87 @@ def signature(g: IntegerGram) -> tuple[int, int, int]:
                 for i in range(n):
                     mat[i][k] += mat[i][off]
         pivot = mat[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(pivot)
+        # later steps read only the trailing block: update it symmetrically
         for i in range(k + 1, n):
             f = mat[i][k] / pivot
             if f:
-                for j in range(n):
+                for j in range(k + 1, n):
                     mat[i][j] -= f * mat[k][j]
-                for j in range(n):
-                    mat[j][i] -= f * mat[j][k]
-    return (pos, neg, null)
+    return pivots, zero_at
+
+
+def signature(g: IntegerGram) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric integer matrix."""
+    pivots, _ = _pivots(g.rows)
+    pos = sum(1 for p in pivots if p > 0)
+    return (pos, len(pivots) - pos, g.dim - len(pivots))
+
+
+def _odd_power_primes(m: int) -> list[int] | None:
+    """Primes dividing m > 0 to an odd power; None past trial division to 2**16."""
+    primes, d = [], 2
+    while d * d <= m:
+        if d >= 1 << 16:
+            return None
+        k, m = _split(m, d)
+        if k % 2:
+            primes.append(d)
+        d += 1 if d == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def _split(a: int, p: int) -> tuple[int, int]:
+    k = 0
+    while a % p == 0:
+        a, k = a // p, k + 1
+    return k, a
+
+
+def _hilbert(a: int, b: int, p: int) -> int:
+    """Hilbert symbol (a, b)_p of nonzero integers (Serre III.1.2)."""
+    (i, u), (j, v) = _split(a, p), _split(b, p)
+    if p == 2:
+        e = (u - 1) // 2 * ((v - 1) // 2) + i * (v * v - 1) // 8 + j * (u * u - 1) // 8
+    else:
+        e = i * j * (p - 1) // 2
+        e += i * (pow(v, (p - 1) // 2, p) != 1) + j * (pow(u, (p - 1) // 2, p) != 1)
+    return -1 if e % 2 else 1
+
+
+def _anisotropic(pivots: list[Fraction]) -> bool:
+    """True when the diagonal form with these nonzero pivots has no
+    nonzero rational isotropic vector, by Hasse-Minkowski (Serre, A
+    Course in Arithmetic, IV.2.2, IV.3.2): rank 2 iff -det is no square,
+    rank 3 and 4 by local conditions at 2 and the primes of the pivots.
+    A pivot out of trial-division reach leaves only the definiteness test.
+    """
+    n = len(pivots)
+    pos = sum(1 for p in pivots if p > 0)
+    if pos in (0, n):
+        return True
+    if n == 2:
+        q = -pivots[0] * pivots[1]
+        return isqrt(q.numerator * q.denominator) ** 2 != q.numerator * q.denominator
+    entries, primes = [], {2}
+    for p in pivots:
+        odd = _odd_power_primes(abs(p.numerator) * p.denominator) if n < 5 else None
+        if odd is None:  # rank >= 5 is isotropic (Meyer); else out of reach
+            return False
+        primes.update(odd)
+        entries.append(prod(odd) if p > 0 else -prod(odd))
+    d = prod(entries)
+    for p in primes:
+        eps = prod(_hilbert(a, b, p) for a, b in combinations(entries, 2))
+        k, u = _split(d, p)
+        square = k % 2 == 0 and (u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1)
+        # Serre IV.2.2, Theorem 6: the local conditions for rank 3 and 4
+        if (n == 3 and _hilbert(-1, -d, p) != eps
+                or n == 4 and square and eps != _hilbert(-1, -1, p)):
+            return True
+    return False
 
 
 def orthogonal_complement(
@@ -390,7 +455,9 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
     coordinates (per-coordinate quadratic extremes plus off-diagonal
     bounds) cannot cancel the value pinned down by the fixed prefix,
     and when the prefix is still zero but the trailing block of the
-    form is definite, so that no nonzero tail can vanish.
+    form is anisotropic over Q (Hasse-Minkowski, Serre IV.2.2), so that
+    no nonzero tail can vanish.  Neither cut removes a solution, so
+    neither changes the returned vector.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -405,13 +472,10 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
         off_bound[k] = off_bound[k + 1]
         for j in range(k + 1, n):
             off_bound[k] += 2 * abs(rows[k][j]) * b2
-    # trailing-block definiteness: no nonzero vector on a definite block
-    # evaluates to zero
-    tail_definite = [False] * (n + 1)
-    for k in range(n):
-        block = IntegerGram.from_rows([row[k:] for row in rows[k:]])
-        pos, neg, null = signature(block)
-        tail_definite[k] = null == 0 and (pos == 0 or neg == 0) and block.dim > 0
+    # eliminating from the last coordinate, the first n - k pivots
+    # diagonalise the trailing block rows[k:][k:]
+    pivots, zero_at = _pivots([row[::-1] for row in rows[::-1]])
+    tail_anisotropic = [n - k <= zero_at and _anisotropic(pivots[: n - k]) for k in range(n)]
 
     x = [0] * n
     cross = [0] * n  # cross[i] = sum_{j < level} G[i][j] * x[j]
@@ -459,11 +523,7 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
         return min(roots, key=lambda v: (abs(v), -v))
 
     def dfs(level: int, partial: int, nonzero: bool) -> tuple[int, ...] | None:
-        if level == n:
-            if nonzero and partial == 0:
-                return tuple(x)
-            return None
-        if not nonzero and tail_definite[level]:
+        if not nonzero and tail_anisotropic[level]:
             return None
         if level == n - 1:
             v = last_level(partial, nonzero)

@@ -271,12 +271,18 @@ def minors_gcd(rows, k: int) -> int:
 def brute_isotropic(rows, bound: int):
     """All nonzero vectors x with |x_i| <= bound and x.G.x = 0."""
     n = len(rows)
+    # the nonzero entries on and above the diagonal, off-diagonal ones doubled
+    terms = [
+        (i, j, rows[i][j] * (1 if i == j else 2))
+        for i in range(n)
+        for j in range(i, n)
+        if rows[i][j]
+    ]
     found = []
     for x in itertools.product(range(-bound, bound + 1), repeat=n):
         if not any(x):
             continue
-        val = sum(rows[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-        if val == 0:
+        if sum(c * x[i] * x[j] for i, j, c in terms) == 0:
             found.append(x)
     return found
 

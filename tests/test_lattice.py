@@ -1,6 +1,7 @@
 """Tests for the integer lattice toolkit."""
 
 import random
+import time
 
 from k3pi1.dynkin import AdeConfig
 from k3pi1.lattice import (
@@ -206,16 +207,60 @@ def test_isotropic_search_canonical_order():
         return tuple((abs(c), -c) for c in vec)
 
     rng = random.Random(2718)
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        g = IntegerGram.from_rows(_random_symmetric(rng, n))
-        bound = 4
-        hit = isotropic_search(g, bound)
-        brute = brute_isotropic([list(r) for r in g.rows], bound)
+    cases = [(_random_symmetric(rng, rng.randint(1, 3)), 4) for _ in range(25)]
+    # rank 5 at bound 2: random symmetric forms, and diagonal forms with
+    # entries from +-{1, 2, 3, 5, 6}, many of whose indefinite tails are
+    # anisotropic over Q, a third of them after a unimodular change
+    rng = random.Random(1618)
+    for t in range(200):
+        if t % 2:
+            cases.append((_random_symmetric(rng, 5), 2))
+            continue
+        rows = _diag([rng.choice((1, 2, 3, 5, 6)) * rng.choice((1, -1)) for _ in range(5)])
+        if t % 3 == 0:
+            u = _diag([1] * 5)
+            for _ in range(5):
+                i, j = rng.sample(range(5), 2)
+                c = rng.choice((1, -1))
+                for row in u:
+                    row[j] += c * row[i]
+            rows = mat_mul(mat_mul([list(col) for col in zip(*u)], rows), u)
+        cases.append((rows, 2))
+    for rows, bound in cases:
+        hit = isotropic_search(IntegerGram.from_rows(rows), bound)
+        brute = brute_isotropic(rows, bound)
         if brute:
-            assert hit == min(brute, key=key)
+            assert hit == min(brute, key=key), rows
         else:
-            assert hit is None
+            assert hit is None, rows
+
+
+def test_isotropic_search_first_vectors_pinned():
+    # vectors returned before subtrees under trailing blocks anisotropic
+    # over Q were cut: the heavy criterion-6 forms, whose 4-dimensional
+    # tail is indefinite and anisotropic, so the x0 = 0 subtree holds none
+    assert isotropic_search(IntegerGram.from_rows(_diag([-2, 2, -6, 2, -6])), 50) == (
+        1, 0, 0, 1, 0,
+    )
+    assert isotropic_search(IntegerGram.from_rows(_diag([4, -4, -6, -6, 2])), 50) == (
+        1, 0, 0, 1, 1,
+    )
+    # x^2 + y^2 = 3(z^2 + w^2) has only the zero solution, in any basis
+    aniso = _diag([1, 1, -3, -3])
+    u = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    changed = mat_mul(mat_mul([list(col) for col in zip(*u)], aniso), u)
+    for rows, bound in ((aniso, 20), (changed, 20), (_diag([1, 1, -3]), 50)):
+        assert isotropic_search(IntegerGram.from_rows(rows), bound) is None
+
+
+def test_isotropic_search_bounded_on_pivots_beyond_trial_division():
+    # 2**61 - 1 is prime and beyond trial division, so the rank-3 and
+    # rank-4 tails fall back to the definiteness test
+    p = 2**61 - 1
+    for entries in ([1, -p], [1, 1, -p], [1, 1, -p, -3 * p]):
+        start = time.perf_counter()
+        assert isotropic_search(IntegerGram.from_rows(_diag(entries)), 5) is None
+        assert time.perf_counter() - start < 1.0
 
 
 def test_meyer_gate():
@@ -250,6 +295,11 @@ def test_meyer_gate_random_even_indefinite_diagonals():
         assert rep.hypotheses_hold
         assert rep.vector is not None, entries
         assert evaluate_form(g, rep.vector) == 0
+
+
+def _diag(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _random_symmetric(rng, n):
