@@ -14,7 +14,6 @@ from .dynkin import (
     AdeConfig,
     DuValType,
     NotAdeError,
-    du_val_data,
     enumerate_ade_configs,
     local_euler_contribution,
     recognize_ade,
@@ -47,7 +46,6 @@ from .orbifold import (
     OrbifoldClass,
     OrbifoldSignature,
     classify,
-    group_order_oracle,
     orbifold_euler_characteristic,
 )
 from .pi1 import (

@@ -30,7 +30,6 @@ __all__ = [
     "DuValType",
     "AdeConfig",
     "NotAdeError",
-    "du_val_data",
     "local_euler_contribution",
     "recognize_ade",
     "enumerate_ade_configs",
@@ -161,11 +160,6 @@ class AdeConfig:
 
     def __str__(self) -> str:
         return "[" + ", ".join(self.labels) + "]"
-
-
-def du_val_data(t: DuValType) -> tuple[int, int, int]:
-    """Return (rank, local group order, Cartan determinant) of a type."""
-    return (t.rank, t.delta, t.cartan_det)
 
 
 def local_euler_contribution(t: DuValType) -> Fraction:

@@ -261,8 +261,9 @@ class Decoration:
 
 @dataclass(frozen=True)
 class DecorationSummary:
-    """Result of validating one decoration."""
+    """A validated decoration with its kept gcd m and removed ADE config."""
 
+    decoration: Decoration
     m: int
     removed_config: AdeConfig
 
@@ -292,7 +293,7 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     for mult in kept:
         m = gcd(m, mult)
     if not d.removed:
-        return DecorationSummary(m=m, removed_config=AdeConfig())
+        return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig())
     induced = []
     for u, v, w in data.dual_graph:
         if u in d.removed and v in d.removed:
@@ -305,14 +306,13 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
         types = recognize_ade(sorted(d.removed), induced)
     except NotAdeError as exc:
         raise NotAdeRemovedSet(f"{d.fiber.label}: {exc}") from exc
-    return DecorationSummary(m=m, removed_config=AdeConfig(tuple(types)))
+    return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig(tuple(types)))
 
 
 @dataclass(frozen=True)
 class FibrationSummary:
     """Aggregate of a validated list of decorated fibers."""
 
-    decorations: tuple[Decoration, ...]
     summaries: tuple[DecorationSummary, ...]
     config: AdeConfig
     euler_total: int
@@ -324,29 +324,19 @@ class FibrationSummary:
     @property
     def cone_multiplicities(self) -> tuple[int, ...]:
         """m_j of the decorated (nonempty removed set) fibers, input order."""
-        return tuple(
-            s.m
-            for d, s in zip(self.decorations, self.summaries)
-            if not d.is_trivial
-        )
+        return tuple(s.m for s in self.summaries if not s.decoration.is_trivial)
 
 
 def validate_k3_fibration(fibers: Sequence[Decoration]) -> FibrationSummary:
     """Validate decorations and require the fiber Euler numbers to sum to 24."""
-    decorations = tuple(fibers)
-    summaries = tuple(validate_decoration(d) for d in decorations)
-    total = sum(d.fiber.euler for d in decorations)
+    summaries = tuple(validate_decoration(d) for d in fibers)
+    total = sum(s.decoration.fiber.euler for s in summaries)
     if total != K3_EULER_NUMBER:
         raise EulerSumMismatch(total)
     config = AdeConfig()
     for s in summaries:
         config = config + s.removed_config
-    return FibrationSummary(
-        decorations=decorations,
-        summaries=summaries,
-        config=config,
-        euler_total=total,
-    )
+    return FibrationSummary(summaries=summaries, config=config, euler_total=total)
 
 
 # ----------------------------------------------------------------------

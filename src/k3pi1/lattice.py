@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dynkin import AdeConfig, DuValType
 
@@ -27,13 +27,11 @@ __all__ = [
     "MeyerReport",
     "smith_normal_form",
     "determinant",
-    "mat_mul",
     "gram_of_config",
     "k3_gram",
     "signature",
     "orthogonal_complement",
     "isotropic_search",
-    "evaluate_form",
     "meyer_gate",
 ]
 
@@ -51,26 +49,6 @@ def _copy_int_matrix(a: Matrix) -> list[list[int]]:
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
-    """Integer matrix product."""
-    m = len(a)
-    inner = len(b)
-    if m and inner != len(a[0]):
-        raise ValueError("dimension mismatch")
-    n = len(b[0]) if inner else 0
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik:
-                brow = b[k]
-                for j in range(n):
-                    orow[j] += aik * brow[j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -334,11 +312,14 @@ def _pivots(rows: Matrix) -> tuple[list[Fraction], int]:
     return pivots, zero_at
 
 
+def _inertia(pivots: list[Fraction], n: int) -> tuple[int, int, int]:
+    pos = sum(1 for p in pivots if p > 0)
+    return (pos, len(pivots) - pos, n - len(pivots))
+
+
 def signature(g: IntegerGram) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric integer matrix."""
-    pivots, _ = _pivots(g.rows)
-    pos = sum(1 for p in pivots if p > 0)
-    return (pos, len(pivots) - pos, g.dim - len(pivots))
+    return _inertia(_pivots(g.rows)[0], g.dim)
 
 
 def _odd_power_primes(m: int) -> list[int] | None:
@@ -435,12 +416,13 @@ def orthogonal_complement(
     return tuple(basis)
 
 
-def evaluate_form(g: IntegerGram, x: Sequence[int]) -> int:
-    """The value x . G . x."""
-    n = g.dim
-    if len(x) != n:
-        raise ValueError("vector dimension mismatch")
-    return sum(g.rows[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+def _value_order(bound: int) -> Iterator[int]:
+    """0, 1, -1, 2, -2, ..., bound, -bound, made one at a time, so a huge
+    bound costs no memory where a cut answers first."""
+    yield 0
+    for v in range(1, bound + 1):
+        yield v
+        yield -v
 
 
 def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
@@ -459,12 +441,25 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
     no nonzero tail can vanish.  Neither cut removes a solution, so
     neither changes the returned vector.
     """
+    return _search(g, bound)[1]
+
+
+def _search(
+    g: IntegerGram, bound: int
+) -> tuple[tuple[int, int, int], tuple[int, ...] | None]:
+    """The signature of g and isotropic_search(g, bound), both read from
+    one diagonalisation of the form with its coordinates reversed."""
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     n = g.dim
-    if n == 0:
-        return None
     rows = g.rows
+    # eliminating from the last coordinate, the first n - k pivots
+    # diagonalise the trailing block rows[k:][k:]; all of them give the
+    # inertia of the whole form (Sylvester's law)
+    pivots, zero_at = _pivots([row[::-1] for row in rows[::-1]])
+    inertia = _inertia(pivots, n)
+    if n == 0:
+        return inertia, None
     b2 = bound * bound
     # off_bound[k] = sum over k <= i < j of 2 |G_ij| B^2
     off_bound = [0] * (n + 1)
@@ -472,17 +467,10 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
         off_bound[k] = off_bound[k + 1]
         for j in range(k + 1, n):
             off_bound[k] += 2 * abs(rows[k][j]) * b2
-    # eliminating from the last coordinate, the first n - k pivots
-    # diagonalise the trailing block rows[k:][k:]
-    pivots, zero_at = _pivots([row[::-1] for row in rows[::-1]])
     tail_anisotropic = [n - k <= zero_at and _anisotropic(pivots[: n - k]) for k in range(n)]
 
     x = [0] * n
     cross = [0] * n  # cross[i] = sum_{j < level} G[i][j] * x[j]
-    values = [0]
-    for v in range(1, bound + 1):
-        values.append(v)
-        values.append(-v)
 
     def quad_range(c: int, a: int) -> tuple[int, int]:
         # extremes of a v^2 + 2 c v over integer v in [-B, B]: at +-B or beside -c/a
@@ -540,7 +528,7 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
         if partial + rmin > 0 or partial + rmax < 0:
             return None
         saved = [cross[i] for i in range(level + 1, n)]
-        for v in values:
+        for v in _value_order(bound):
             x[level] = v
             new_partial = partial + 2 * v * cross[level] + rows[level][level] * v * v
             for i in range(level + 1, n):
@@ -553,7 +541,7 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
             cross[i] = saved[i - level - 1]
         return None
 
-    return dfs(0, 0, False)
+    return inertia, dfs(0, 0, False)
 
 
 @dataclass(frozen=True)
@@ -593,6 +581,5 @@ class MeyerReport:
 def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
     """Run the bounded isotropic search and report it against the
     hypotheses of Meyer's theorem (indefinite, rank >= 5)."""
-    sig = signature(g)
-    vec = isotropic_search(g, bound)
+    sig, vec = _search(g, bound)
     return MeyerReport(signature=sig, bound=bound, vector=vec)

@@ -1,4 +1,4 @@
-"""Genus-zero 2-orbifold classification and coset enumeration.
+"""Genus-zero 2-orbifold classification.
 
 A sphere with cone points of orders m_1 <= ... <= m_k is governed by
 its orbifold Euler characteristic chi = 2 - sum(1 - 1/m_j):
@@ -10,8 +10,8 @@ its orbifold Euler characteristic chi = 2 - sum(1 - 1/m_j):
   (3,3,3) and (2,2,2,2),
 * chi < 0: hyperbolic, the group is an infinite Fuchsian group.
 
-The group orders are double-checked by an independent Todd-Coxeter
-style coset enumeration on the presentation
+The test suite double-checks the group orders by an independent
+Todd-Coxeter coset enumeration (tests/oracles.py) on the presentation
 
     < g_1, ..., g_k | g_j^{m_j}, g_1 g_2 ... g_k >.
 """
@@ -31,8 +31,6 @@ __all__ = [
     "EUCLIDEAN_SIGNATURES",
     "orbifold_euler_characteristic",
     "classify",
-    "group_order_oracle",
-    "coset_enumeration_order",
 ]
 
 SPHERICAL_OR_BAD = "spherical_or_bad"
@@ -123,113 +121,3 @@ def classify(s: OrbifoldSignature) -> OrbifoldClass:
         return OrbifoldClass(EUCLIDEAN)
     return OrbifoldClass(HYPERBOLIC)
 
-
-# ----------------------------------------------------------------------
-# Todd-Coxeter coset enumeration
-
-_SENT = -1
-
-
-class _CosetLimit(Exception):
-    pass
-
-
-def coset_enumeration_order(
-    ngens: int, relators: list[list[int]], limit: int
-) -> int | None:
-    """Order of <g_0..g_{ngens-1} | relators>, or None if the
-    enumeration does not close within `limit` defined cosets.
-
-    Relator words use symbol 2*g for generator g and 2*g + 1 for its
-    inverse.  The coset table keeps inverse edges consistent on
-    creation and handles coincidences with a union-find merge, so a
-    closed table is a genuine permutation representation and the count
-    of live cosets is the group order.
-    """
-    width = 2 * ngens
-    for rel in relators:
-        for sym in rel:
-            if not 0 <= sym < width:
-                raise ValueError(f"relator symbol {sym} out of range")
-    parent: list[int] = []
-    table: list[list[int]] = []
-
-    def new_coset() -> int:
-        if len(parent) >= limit:
-            raise _CosetLimit
-        parent.append(len(parent))
-        table.append([_SENT] * width)
-        return len(parent) - 1
-
-    def find(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def step(c: int, sym: int) -> int:
-        c = find(c)
-        d = table[c][sym]
-        if d == _SENT:
-            d = new_coset()
-            table[c][sym] = d
-            table[d][sym ^ 1] = c
-        return find(d)
-
-    def unify(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            row_a, row_b = table[a], table[b]
-            for sym in range(width):
-                nb = row_b[sym]
-                if nb == _SENT:
-                    continue
-                na = row_a[sym]
-                if na == _SENT:
-                    row_a[sym] = nb
-                else:
-                    stack.append((na, nb))
-
-    try:
-        new_coset()
-        visit = 0
-        while visit < len(parent):
-            if find(visit) == visit:
-                for rel in relators:
-                    c = find(visit)
-                    d = c
-                    for sym in rel:
-                        d = step(d, sym)
-                    unify(d, c)
-            visit += 1
-    except _CosetLimit:
-        return None
-    return sum(1 for c in range(len(parent)) if find(c) == c)
-
-
-def group_order_oracle(s: OrbifoldSignature, limit: int) -> int | None:
-    """Coset enumeration on <g_1..g_k | g_j^{m_j}, g_1...g_k>.
-
-    Returns the exact group order when the enumeration closes within
-    `limit` cosets, None (inconclusive) otherwise.  Only desk-scale
-    signatures are accepted: at most 4 cone points of order at most 8.
-    """
-    if s.k > 4:
-        raise ValueError(f"oracle accepts at most 4 cone points, got {s.k}")
-    if any(m > 8 for m in s.cone_orders):
-        raise ValueError(f"oracle accepts cone orders up to 8, got {s}")
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    k = s.k
-    relators = [[2 * j] * m for j, m in enumerate(s.cone_orders)]
-    relators.append([2 * j for j in range(k)])
-    return coset_enumeration_order(k, relators, limit)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .kodaira import KodairaType
+from .kodaira import KodairaType, Mat2
 from .lattice import smith_normal_form
 
 __all__ = [
@@ -31,15 +31,10 @@ __all__ = [
     "ProductNotIdentity",
     "ClassMismatch",
     "mat_mul2",
-    "mat_det2",
-    "mat_trace2",
-    "mat_power2",
     "kodaira_class_of",
     "validate_representation",
     "coinvariant_quotient",
 ]
-
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 MINUS_IDENTITY: Mat2 = ((-1, 0), (0, -1))
@@ -73,19 +68,6 @@ def mat_det2(a: Mat2) -> int:
 
 def mat_trace2(a: Mat2) -> int:
     return a[0][0] + a[1][1]
-
-
-def mat_power2(a: Mat2, k: int) -> Mat2:
-    if k < 0:
-        raise ValueError("negative powers not supported")
-    out = IDENTITY
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul2(out, base)
-        base = mat_mul2(base, base)
-        k >>= 1
-    return out
 
 
 class RepresentationError(ValueError):

@@ -35,6 +35,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .dynkin import AdeConfig, local_euler_contribution
 from .kodaira import (
     Decoration,
+    DecorationSummary,
     FibrationSummary,
     K3_EULER_NUMBER,
     KodairaType,
@@ -56,7 +57,6 @@ __all__ = [
     "RankGate",
     "NormalK3Input",
     "Verdict",
-    "FiberReport",
     "Report",
     "SweepInstance",
     "SweepResult",
@@ -147,13 +147,6 @@ class Verdict:
     abelian_quotient: AbelianGroup | None = None
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    decoration: Decoration
-    m: int
-    removed_config: AdeConfig
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -167,7 +160,7 @@ class Report:
     r: int
     e_orb: Fraction
     gate: RankGate
-    fibers: tuple[FiberReport, ...] | None = None
+    fibers: tuple[DecorationSummary, ...] | None = None
     cone_orders: tuple[int, ...] | None = None
     classification: OrbifoldClass | None = None
     verdict: Verdict | None = None
@@ -269,17 +262,13 @@ def _analyze_fibered(input_: NormalK3Input) -> Report:
     rank_gate_consistent = (not gate.passes) or verdict.kind == FINITE_FUNDAMENTAL_GROUP
     euclidean_euler_zero = (e_orb == 0) if cls.kind == EUCLIDEAN else None
 
-    fiber_reports = tuple(
-        FiberReport(decoration=d, m=s.m, removed_config=s.removed_config)
-        for d, s in zip(summary.decorations, summary.summaries)
-    )
     return Report(
         kind="fibered",
         config=config,
         r=gate.r,
         e_orb=e_orb,
         gate=gate,
-        fibers=fiber_reports,
+        fibers=summary.summaries,
         cone_orders=signature.cone_orders,
         classification=cls,
         verdict=verdict,

@@ -5,11 +5,16 @@ library so the two sides of each check share no code:
 
 * exact cyclotomic arithmetic and closure enumeration of finite
   subgroups of SU(2), used to validate the Du Val delta table,
-* cofactor-expansion determinants and k x k minor gcds, used to
-  validate Smith normal forms,
-* full-grid isotropic vector search without pruning,
+* cofactor-expansion determinants, k x k minor gcds and the plain
+  matrix product, used to validate Smith normal forms,
+* full-grid isotropic vector search without pruning, and the value
+  x.G.x of a form,
 * 2x2 integer matrix powering,
+* Todd-Coxeter coset enumeration, used to validate the orbifold group
+  orders,
 * the generating function counting sweep classes.
+
+Nothing here imports k3pi1.
 """
 
 from __future__ import annotations
@@ -268,6 +273,34 @@ def minors_gcd(rows, k: int) -> int:
     return g
 
 
+def mat_mul(a, b) -> list[list[int]]:
+    """Integer matrix product."""
+    m = len(a)
+    inner = len(b)
+    if m and inner != len(a[0]):
+        raise ValueError("dimension mismatch")
+    n = len(b[0]) if inner else 0
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        arow = a[i]
+        orow = out[i]
+        for k in range(inner):
+            aik = arow[k]
+            if aik:
+                brow = b[k]
+                for j in range(n):
+                    orow[j] += aik * brow[j]
+    return out
+
+
+def evaluate_form(rows, x) -> int:
+    """The value x . G . x of the form with Gram rows G."""
+    n = len(rows)
+    if len(x) != n:
+        raise ValueError("vector dimension mismatch")
+    return sum(rows[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
 def brute_isotropic(rows, bound: int):
     """All nonzero vectors x with |x_i| <= bound and x.G.x = 0."""
     n = len(rows)
@@ -305,6 +338,118 @@ def mat2_power_order(t, limit: int = 12):
             ),
         )
     return None
+
+
+# ----------------------------------------------------------------------
+# Todd-Coxeter coset enumeration
+
+_SENT = -1
+
+
+class _CosetLimit(Exception):
+    pass
+
+
+def coset_enumeration_order(
+    ngens: int, relators: list[list[int]], limit: int
+) -> int | None:
+    """Order of <g_0..g_{ngens-1} | relators>, or None if the
+    enumeration does not close within `limit` defined cosets.
+
+    Relator words use symbol 2*g for generator g and 2*g + 1 for its
+    inverse.  The coset table keeps inverse edges consistent on
+    creation and handles coincidences with a union-find merge, so a
+    closed table is a genuine permutation representation and the count
+    of live cosets is the group order.
+    """
+    width = 2 * ngens
+    for rel in relators:
+        for sym in rel:
+            if not 0 <= sym < width:
+                raise ValueError(f"relator symbol {sym} out of range")
+    parent: list[int] = []
+    table: list[list[int]] = []
+
+    def new_coset() -> int:
+        if len(parent) >= limit:
+            raise _CosetLimit
+        parent.append(len(parent))
+        table.append([_SENT] * width)
+        return len(parent) - 1
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def step(c: int, sym: int) -> int:
+        c = find(c)
+        d = table[c][sym]
+        if d == _SENT:
+            d = new_coset()
+            table[c][sym] = d
+            table[d][sym ^ 1] = c
+        return find(d)
+
+    def unify(a: int, b: int) -> None:
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            row_a, row_b = table[a], table[b]
+            for sym in range(width):
+                nb = row_b[sym]
+                if nb == _SENT:
+                    continue
+                na = row_a[sym]
+                if na == _SENT:
+                    row_a[sym] = nb
+                else:
+                    stack.append((na, nb))
+
+    try:
+        new_coset()
+        visit = 0
+        while visit < len(parent):
+            if find(visit) == visit:
+                for rel in relators:
+                    c = find(visit)
+                    d = c
+                    for sym in rel:
+                        d = step(d, sym)
+                    unify(d, c)
+            visit += 1
+    except _CosetLimit:
+        return None
+    return sum(1 for c in range(len(parent)) if find(c) == c)
+
+
+def group_order_oracle(orders: tuple[int, ...], limit: int) -> int | None:
+    """Coset enumeration on <g_1..g_k | g_j^{m_j}, g_1...g_k> for the
+    cone orders m_j.
+
+    Returns the exact group order when the enumeration closes within
+    `limit` cosets, None (inconclusive) otherwise.  Only desk-scale
+    signatures are accepted: at most 4 cone points of order at most 8.
+    """
+    k = len(orders)
+    if k > 4:
+        raise ValueError(f"oracle accepts at most 4 cone points, got {k}")
+    if any(m > 8 for m in orders):
+        raise ValueError(f"oracle accepts cone orders up to 8, got {orders}")
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    relators = [[2 * j] * m for j, m in enumerate(orders)]
+    relators.append([2 * j for j in range(k)])
+    return coset_enumeration_order(k, relators, limit)
 
 
 def gf_total(eulers, budget: int) -> int:

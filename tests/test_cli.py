@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -140,6 +141,28 @@ def test_lattice_isotropic_found_and_exhausted(tmp_path):
     code, out, _ = run_cli("lattice", "isotropic", str(mat), "--bound", "100")
     assert code == 2
     assert "exhausted" in out
+
+
+def test_lattice_isotropic_huge_bound_in_bounded_memory(tmp_path):
+    # x^2 - 3y^2 is anisotropic over Q, so the search answers at once;
+    # the 2 * 10^8 + 1 candidate values must not be listed up front
+    mat = tmp_path / "d.txt"
+    mat.write_text("1 0\n0 -3\n")
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3pi1", "lattice", "isotropic", str(mat),
+         "--bound", "100000000"],
+        capture_output=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith(b"exhausted:") for line in proc.stdout.splitlines())
+    assert proc.stderr == b""
 
 
 def test_kodaira_info():

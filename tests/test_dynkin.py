@@ -8,7 +8,6 @@ from k3pi1.dynkin import (
     AdeConfig,
     DuValType,
     NotAdeError,
-    du_val_data,
     enumerate_ade_configs,
     local_euler_contribution,
     recognize_ade,
@@ -18,9 +17,9 @@ from oracles import binary_group_order, det_cofactor
 
 
 def test_du_val_data_examples():
-    assert du_val_data(DuValType("A", 1)) == (1, 2, 2)
-    assert du_val_data(DuValType("D", 4)) == (4, 8, 4)
-    assert du_val_data(DuValType("E", 8)) == (8, 120, 1)
+    for t, data in [(DuValType("A", 1), (1, 2, 2)), (DuValType("D", 4), (4, 8, 4)),
+                    (DuValType("E", 8), (8, 120, 1))]:
+        assert (t.rank, t.delta, t.cartan_det) == data
 
 
 def test_invalid_labels_rejected():

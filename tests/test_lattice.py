@@ -6,19 +6,17 @@ import time
 from k3pi1.dynkin import AdeConfig
 from k3pi1.lattice import (
     IntegerGram,
-    evaluate_form,
     determinant,
     gram_of_config,
     isotropic_search,
     k3_gram,
-    mat_mul,
     meyer_gate,
     orthogonal_complement,
     signature,
     smith_normal_form,
 )
 
-from oracles import brute_isotropic, det_cofactor, minors_gcd
+from oracles import brute_isotropic, det_cofactor, evaluate_form, mat_mul, minors_gcd
 
 
 def _check_snf(a):
@@ -195,7 +193,7 @@ def test_isotropic_search_agrees_with_brute_force():
         if hit is None:
             assert brute == []
         else:
-            assert evaluate_form(g, hit) == 0
+            assert evaluate_form(g.rows, hit) == 0
             assert max(abs(c) for c in hit) <= bound
             assert hit in brute
 
@@ -273,13 +271,38 @@ def test_meyer_gate():
     rep = meyer_gate(g, 10)
     assert rep.hypotheses_hold
     assert rep.vector is not None
-    assert evaluate_form(g, rep.vector) == 0
+    assert evaluate_form(g.rows, rep.vector) == 0
 
     definite = IntegerGram.from_rows([[2, 0], [0, 2]])
     rep = meyer_gate(definite, 20)
     assert not rep.hypotheses_hold
     assert rep.exhausted
     assert not rep.hypotheses_hold_but_exhausted
+
+    # the gate reads the signature from the search's diagonalisation of
+    # the reversed form: degenerate forms, and forms whose zero diagonal
+    # entry sits mid-way, must give what signature() gives
+    forms = [_diag([1, 0, -1]), _diag([0, 0, 0]), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]]
+    rng = random.Random(8128)
+    for t in range(150):
+        n = rng.randint(3, 5)
+        rows = _random_symmetric(rng, n)
+        k = rng.randrange(1, n - 1)
+        rows[k][k] = 0
+        if t % 2:
+            # repeat coordinate 0 as a last one: rank at most n
+            rows = [row + [row[0]] for row in rows]
+            rows.append(list(rows[0]))
+        forms.append(rows)
+    degenerate = 0
+    for rows in forms:
+        g = IntegerGram.from_rows(rows)
+        rep = meyer_gate(g, 2)
+        assert rep.signature == signature(g), rows
+        assert rep.vector == isotropic_search(g, 2), rows
+        degenerate += rep.signature[2] > 0
+    assert signature(IntegerGram.from_rows(forms[0])) == (1, 1, 1)
+    assert degenerate >= 75, degenerate
 
 
 def test_meyer_gate_random_even_indefinite_diagonals():
@@ -294,7 +317,7 @@ def test_meyer_gate_random_even_indefinite_diagonals():
         rep = meyer_gate(g, 50)
         assert rep.hypotheses_hold
         assert rep.vector is not None, entries
-        assert evaluate_form(g, rep.vector) == 0
+        assert evaluate_form(g.rows, rep.vector) == 0
 
 
 def _diag(entries):

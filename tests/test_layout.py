@@ -1,0 +1,54 @@
+"""Layout rules: the package runs on the standard library alone, the
+test oracles stay independent of it, and every exported name exists."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import k3pi1
+
+PACKAGE = Path(k3pi1.__file__).parent
+ORACLES = Path(__file__).parent / "oracles.py"
+
+
+def _imported_modules(path):
+    """(relative level, module) for every import statement in a file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+    return found
+
+
+def test_package_imports_only_stdlib_and_itself():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for level, module in _imported_modules(path):
+            top = module.split(".")[0]
+            assert level > 0 or top == "k3pi1" or top in sys.stdlib_module_names, (
+                path.name, module,
+            )
+
+
+def test_oracles_import_nothing_from_the_package():
+    for level, module in _imported_modules(ORACLES):
+        assert level == 0 and module.split(".")[0] != "k3pi1", module
+
+
+def test_exported_names_resolve():
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"k3pi1.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exports
+    for name in exports:
+        assert hasattr(k3pi1, name), name

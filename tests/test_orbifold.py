@@ -12,10 +12,10 @@ from k3pi1.orbifold import (
     SPHERICAL_OR_BAD,
     OrbifoldSignature,
     classify,
-    coset_enumeration_order,
-    group_order_oracle,
     orbifold_euler_characteristic,
 )
+
+from oracles import coset_enumeration_order, group_order_oracle
 
 S = OrbifoldSignature
 
@@ -89,43 +89,43 @@ def test_chi_strictly_decreases_in_each_order():
 
 
 def test_oracle_spherical_triples():
-    assert group_order_oracle(S((2, 3, 3)), 10000) == 12
-    assert group_order_oracle(S((2, 3, 4)), 10000) == 24
-    assert group_order_oracle(S((2, 3, 5)), 10000) == 60
+    assert group_order_oracle((2, 3, 3), 10000) == 12
+    assert group_order_oracle((2, 3, 4), 10000) == 24
+    assert group_order_oracle((2, 3, 5), 10000) == 60
 
 
 def test_oracle_dihedral_family():
     for n in range(2, 9):
-        assert group_order_oracle(S((2, 2, n)), 10000) == 2 * n
+        assert group_order_oracle((2, 2, n), 10000) == 2 * n
 
 
 def test_oracle_two_cone_points_gcd():
     for m1 in range(2, 9):
         for m2 in range(2, 9):
-            assert group_order_oracle(S((m1, m2)), 10000) == gcd(m1, m2)
+            assert group_order_oracle((m1, m2), 10000) == gcd(m1, m2)
 
 
 def test_oracle_trivial_cases():
-    assert group_order_oracle(S(), 10) == 1
-    assert group_order_oracle(S((5,)), 100) == 1
+    assert group_order_oracle((), 10) == 1
+    assert group_order_oracle((5,), 100) == 1
 
 
 def test_oracle_euclidean_does_not_close():
-    assert group_order_oracle(S((2, 3, 6)), 10000) is None
+    assert group_order_oracle((2, 3, 6), 10000) is None
 
 
 def test_oracle_matches_2_over_chi_on_spherical():
     for sig in [(2, 2, 2), (2, 2, 4), (2, 2, 7), (2, 3, 3), (2, 3, 4), (2, 3, 5)]:
         s = S(sig)
         chi = orbifold_euler_characteristic(s)
-        assert group_order_oracle(s, 10000) == Fraction(2) / chi
+        assert group_order_oracle(s.cone_orders, 10000) == Fraction(2) / chi
 
 
 def test_oracle_rejects_out_of_scale():
     with pytest.raises(ValueError):
-        group_order_oracle(S((2, 2, 2, 2, 2)), 100)
+        group_order_oracle((2, 2, 2, 2, 2), 100)
     with pytest.raises(ValueError):
-        group_order_oracle(S((2, 9)), 100)
+        group_order_oracle((2, 9), 100)
 
 
 def test_coset_enumeration_on_classic_presentations():
