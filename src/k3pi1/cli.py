@@ -388,7 +388,6 @@ def _cmd_enumerate(args) -> tuple[dict, list[str], int]:
     if args.max_report < 0:
         raise InputError("--max-report", "must be a non-negative integer")
     result = trichotomy_sweep(args.euler_sum, collect_limit=args.max_report)
-    reported = result.euclidean[: args.max_report]
     payload = {
         "euler_sum": args.euler_sum,
         "total": result.total,
@@ -403,14 +402,14 @@ def _cmd_enumerate(args) -> tuple[dict, list[str], int]:
                     for label, m, cfg, count in inst.outcomes
                 ],
             }
-            for inst in reported
+            for inst in result.euclidean
         ],
         "violations": result.violations,
     }
     lines = [f"classes with euler sum <= {args.euler_sum}: {result.total}"]
     for kind in ("spherical_or_bad", "euclidean", "hyperbolic"):
         lines.append(f"  {kind}: {result.counts[kind]}")
-    lines += [f"  euclidean instance: {inst.describe()}" for inst in reported]
+    lines += [f"  euclidean instance: {inst.describe()}" for inst in result.euclidean]
     if not args.json:
         for v in result.violations[: args.max_report]:
             print(f"violation: {v}", file=sys.stderr)

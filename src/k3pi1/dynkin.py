@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DuValType",
@@ -263,26 +263,44 @@ def _all_types_of_rank(n: int) -> list[DuValType]:
     return out
 
 
+def _multisets(
+    items: Sequence, weights: Sequence[int], budget: int
+) -> Iterator[tuple[list[tuple], int]]:
+    """Every multiset of `items` whose total weight is at most `budget`.
+
+    `weights[i]` is the weight of `items[i]`; weights must be positive
+    and non-decreasing, so the walk stops at the first item that no
+    longer fits.  Yields the (item, count) pairs chosen, items in list
+    order and counts >= 1, and the budget left.  The order is depth
+    first pre-order from the empty multiset: after a multiset come all
+    its extensions by later items, item by item and each item's count
+    rising from 1.  The yielded list is reused; copy it to keep it.
+    """
+    chosen: list[tuple] = []
+
+    def rec(start: int, budget: int):
+        yield chosen, budget
+        for idx in range(start, len(items)):
+            weight = weights[idx]
+            if weight > budget:
+                break
+            count, left = 1, budget - weight
+            while left >= 0:
+                chosen.append((items[idx], count))
+                yield from rec(idx + 1, left)
+                chosen.pop()
+                count, left = count + 1, left - weight
+
+    return rec(0, budget)
+
+
 def enumerate_ade_configs(max_rank: int) -> Iterator[AdeConfig]:
     """Yield every ADE multiset with total rank <= max_rank, once each.
 
-    The empty configuration is included.  Enumeration is deterministic:
-    entries are chosen in non-increasing canonical order.
+    The empty configuration comes first.  Enumeration is deterministic:
+    the multisets of the types sorted by rank, in the walk order of
+    `_multisets`.
     """
-    types: list[DuValType] = []
-    for n in range(max_rank, 0, -1):
-        types.extend(sorted(_all_types_of_rank(n), reverse=True))
-
-    chosen: list[DuValType] = []
-
-    def rec(start: int, budget: int) -> Iterator[AdeConfig]:
-        yield AdeConfig(tuple(chosen))
-        for idx in range(start, len(types)):
-            t = types[idx]
-            if t.rank > budget:
-                continue
-            chosen.append(t)
-            yield from rec(idx, budget - t.rank)
-            chosen.pop()
-
-    yield from rec(0, max_rank)
+    types = [t for n in range(1, max_rank + 1) for t in _all_types_of_rank(n)]
+    for parts, _ in _multisets(types, [t.rank for t in types], max_rank):
+        yield AdeConfig(tuple(t for t, count in parts for _ in range(count)))

@@ -35,9 +35,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .dynkin import AdeConfig, DuValType, NotAdeError, recognize_ade
+from .dynkin import AdeConfig, DuValType, NotAdeError, _multisets, recognize_ade
 
 __all__ = [
     "KodairaType",
@@ -363,45 +363,38 @@ OutcomeKey = tuple[int, tuple[tuple[str, int], ...]]
 
 
 def _build_outcomes(
-    t: KodairaType, recipes: dict[OutcomeKey, object], removed_of: Callable
+    t: KodairaType, removed: dict[OutcomeKey, Sequence[str]]
 ) -> tuple[DecorationOutcome, ...]:
-    """One outcome per key, in key order; `removed_of(recipe)` gives the
-    representative removed set of each key."""
+    """One outcome per key, in key order, with `removed[key]` as its
+    representative removed set."""
     types: dict[tuple[str, int], DuValType] = {}
     outcomes = []
-    for key in sorted(recipes):
+    for key in sorted(removed):
         m, pieces = key
         for p in pieces:
             if p not in types:
                 types[p] = DuValType(*p)
         config = AdeConfig(tuple(types[p] for p in pieces))
-        outcomes.append(DecorationOutcome(t, m, config, frozenset(removed_of(recipes[key]))))
+        outcomes.append(DecorationOutcome(t, m, config, frozenset(removed[key])))
     return tuple(outcomes)
 
 
 def _outcomes_by_subsets(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     ids = fiber_data(t).component_ids
-    recipes: dict[OutcomeKey, list[str]] = {}
+    representatives: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
         removed = [cid for k, cid in enumerate(ids) if mask >> k & 1]
         summary = validate_decoration(Decoration(t, removed))
         pieces = tuple((e.kind, e.n) for e in summary.removed_config.entries)
-        recipes.setdefault((summary.m, pieces), removed)
-    return _build_outcomes(t, recipes, frozenset)
+        representatives.setdefault((summary.m, pieces), removed)
+    return _build_outcomes(t, representatives)
 
 
 def _arc_multisets(budget: int) -> Iterator[list[int]]:
     """Multisets of arc lengths l_i >= 1 with sum(l_i + 1) <= budget,
-    each as a non-increasing list."""
-
-    def rec(max_part: int, room: int, acc: list[int]) -> Iterator[list[int]]:
-        yield list(acc)
-        for part in range(min(max_part, room - 1), 0, -1):
-            acc.append(part)
-            yield from rec(part, room - part - 1, acc)
-            acc.pop()
-
-    yield from rec(budget - 1, budget, [])
+    each as a non-decreasing list."""
+    for parts, _ in _multisets(range(1, budget), range(2, budget + 1), budget):
+        yield [length for length, count in parts for _ in range(count)]
 
 
 def _arc_ids(ids: list[str], arcs: Sequence[int], pos: int) -> list[str]:
@@ -422,11 +415,11 @@ def _outcomes_cycle(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     is generated once.
     """
     ids = [f"c{i}" for i in range(t.n)]
-    recipes = {
-        (1, tuple(("A", length) for length in reversed(arcs))): arcs
+    representatives = {
+        (1, tuple(("A", length) for length in arcs)): _arc_ids(ids, arcs, 0)
         for arcs in _arc_multisets(t.n)
     }
-    return _build_outcomes(t, recipes, lambda arcs: _arc_ids(ids, arcs, 0))
+    return _build_outcomes(t, representatives)
 
 
 def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
@@ -456,13 +449,21 @@ def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     plain keys before any object is built.
     """
     chain = t.n + 1
+    ids = [f"c{i}" for i in range(chain)]
+
+    def removed_ids(a: int, p: int, b: int, s: int, arcs: list[int]) -> list[str]:
+        tails = ["t1", "t2"][:a] + ["t3", "t4"][:b]
+        return tails + ids[:p] + ids[chain - s :] + _arc_ids(ids, arcs, p + 1)
+
     heads: dict[OutcomeKey, tuple[int, int, int, int, int]] = {}
-    recipes: dict[OutcomeKey, tuple] = {}
+    representatives: dict[OutcomeKey, list[str]] = {}
     for a in range(3):
         for b in range(3):
             m = 2 if a == b == 2 else 1
             if m == 1:  # the whole chain: an end run taking in the other end's tails
-                recipes[(1, _istar_end(max(a, b), chain + min(a, b)))] = (a, chain, b, 0, [])
+                key = (1, _istar_end(max(a, b), chain + min(a, b)))
+                if key not in representatives:
+                    representatives[key] = removed_ids(a, chain, b, 0, [])
             for p in range(chain):
                 for s in range(chain - p):
                     head = (m, tuple(sorted(_istar_end(a, p) + _istar_end(b, s))))
@@ -479,17 +480,9 @@ def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
             ]
         for arcs, pieces in interiors[room]:
             key = (m, tuple(sorted(head + pieces)))
-            if key not in recipes:
-                recipes[key] = (a, p, b, s, arcs)
-
-    ids = [f"c{i}" for i in range(chain)]
-
-    def removed_of(recipe) -> list[str]:
-        a, p, b, s, arcs = recipe
-        tails = ["t1", "t2"][:a] + ["t3", "t4"][:b]
-        return tails + ids[:p] + ids[chain - s :] + _arc_ids(ids, arcs, p + 1)
-
-    return _build_outcomes(t, recipes, removed_of)
+            if key not in representatives:
+                representatives[key] = removed_ids(a, p, b, s, arcs)
+    return _build_outcomes(t, representatives)
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
-from .dynkin import AdeConfig, local_euler_contribution
+from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
     Decoration,
+    DecorationOutcome,
     DecorationSummary,
     FibrationSummary,
     K3_EULER_NUMBER,
@@ -326,54 +327,20 @@ class SweepResult:
         return not self.violations
 
 
-class SweepItem(NamedTuple):
-    """One nontrivial decoration outcome within the sweep budget."""
-
-    type: KodairaType
-    euler: int
-    m: int
-    config: AdeConfig
-
-
-def _sweep_items(euler_sum: int) -> list[SweepItem]:
-    """All (fiber type, nontrivial outcome) pairs with euler <= budget,
-    by increasing Euler number."""
+def _sweep_items(euler_sum: int) -> list[DecorationOutcome]:
+    """The nontrivial decoration outcomes of every fiber type with Euler
+    number <= euler_sum, by increasing Euler number."""
     types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
     types += [KodairaType("I", n) for n in range(1, euler_sum + 1)]
     types += [KodairaType("I*", n) for n in range(0, euler_sum - 5)]
     types.sort(key=lambda t: (t.euler, t.label))
     return [
-        SweepItem(t, t.euler, o.m, o.config)
+        o
         for t in types
         if t.euler <= euler_sum
         for o in decoration_outcomes(t)
         if o.config.entries
     ]
-
-
-def _multisets(
-    items: Sequence[SweepItem], budget: int
-) -> Iterator[tuple[list[tuple[SweepItem, int]], int]]:
-    """Every multiset of `items` (sorted by Euler number) whose total
-    Euler number is at most `budget`, depth first from the empty one:
-    yields the (item, count) pairs chosen and the budget left.  The
-    yielded list is reused; copy it to keep it."""
-    chosen: list[tuple[SweepItem, int]] = []
-
-    def rec(start: int, budget: int):
-        yield chosen, budget
-        for idx in range(start, len(items)):
-            it = items[idx]
-            if it.euler > budget:
-                break
-            count, left = 1, budget - it.euler
-            while left >= 0:
-                chosen.append((it, count))
-                yield from rec(idx + 1, left)
-                chosen.pop()
-                count, left = count + 1, left - it.euler
-
-    return rec(0, budget)
 
 
 def trichotomy_sweep(
@@ -394,7 +361,9 @@ def trichotomy_sweep(
     expanded one by one only for euclidean or hyperbolic cone parts,
     where each full instance is checked against r >= 16, orbifold Euler
     number zero, and the rank gate.  Hyperbolic instances and failed
-    checks are recorded as violations.
+    checks are recorded as violations.  Both walks go over the outcomes
+    by increasing Euler number with the shared walker of `dynkin`, so
+    instances and violations are reported in its depth-first pre-order.
 
     The budget stands in for 24: an instance's orbifold Euler number is
     reported as euler_sum - sum(n + 1 - 1/delta), the K3 value only when
@@ -402,14 +371,15 @@ def trichotomy_sweep(
     euclidean class with a nonzero value is therefore a violation.
     """
     items = _sweep_items(euler_sum)
-    cone_items = [it for it in items if it.m >= 2]
-    flat_items = [it for it in items if it.m == 1]
+    cone_items = [o for o in items if o.m >= 2]
+    flat_items = [o for o in items if o.m == 1]
+    cone_eulers = [o.fiber.euler for o in cone_items]
+    flat_eulers = [o.fiber.euler for o in flat_items]
 
     # ways[b] = number of multisets of m = 1 outcomes with total Euler b
     ways = [0] * (euler_sum + 1)
     ways[0] = 1
-    for it in flat_items:
-        e = it.euler
+    for e in flat_eulers:
         for b in range(e, euler_sum + 1):
             ways[b] += ways[b - e]
     completions_within = list(accumulate(ways))
@@ -424,22 +394,22 @@ def trichotomy_sweep(
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
         return classify(OrbifoldSignature(cones))
 
-    for cone_part, budget in _multisets(cone_items, euler_sum):
-        cones = tuple(sorted(it.m for it, n in cone_part for _ in range(n)))
+    for cone_part, budget in _multisets(cone_items, cone_eulers, euler_sum):
+        cones = tuple(sorted(o.m for o, n in cone_part for _ in range(n)))
         cls = classify_cones(cones)
         if cls.kind == SPHERICAL_OR_BAD:
             total += completions_within[budget]
             counts[SPHERICAL_OR_BAD] += completions_within[budget]
             continue
-        for flat_part, _ in _multisets(flat_items, budget):
+        for flat_part, _ in _multisets(flat_items, flat_eulers, budget):
             total += 1
             counts[cls.kind] += 1
             chosen = cone_part + flat_part
-            config = AdeConfig(tuple(p for it, n in chosen for p in it.config.entries * n))
+            config = AdeConfig(tuple(p for o, n in chosen for p in o.config.entries * n))
             r = config.rank
             e_orb = euler_sum - K3_EULER_NUMBER + orbifold_euler_number(config)
             instance = SweepInstance(
-                outcomes=tuple((it.type.label, it.m, it.config.labels, n) for it, n in chosen),
+                outcomes=tuple((o.fiber.label, o.m, o.config.labels, n) for o, n in chosen),
                 cone_orders=cones,
                 classification=cls.kind,
                 r=r,

@@ -1,6 +1,7 @@
 """Tests for Du Val type data and ADE diagram recognition."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,12 +9,13 @@ from k3pi1.dynkin import (
     AdeConfig,
     DuValType,
     NotAdeError,
+    _multisets,
     enumerate_ade_configs,
     local_euler_contribution,
     recognize_ade,
 )
 
-from oracles import binary_group_order, det_cofactor
+from oracles import binary_group_order, det_cofactor, gf_total
 
 
 def test_du_val_data_examples():
@@ -205,6 +207,45 @@ def test_enumerate_ade_configs_small():
         ("A1", "A1", "A1", "A1"),
     }
     assert seen == expected
+
+
+def test_enumerate_ade_configs_counts_match_generating_function():
+    ranks = [t.rank for t in _all_types(15)]
+    counts = []
+    for max_rank in range(16):
+        configs = list(enumerate_ade_configs(max_rank))
+        assert len({c.labels for c in configs}) == len(configs), max_rank
+        assert all(c.rank <= max_rank for c in configs), max_rank
+        counts.append(len(configs))
+        assert len(configs) == gf_total(ranks, max_rank), max_rank
+    assert (counts[4], counts[15]) == (13, 1_816)
+
+
+@pytest.mark.parametrize(
+    "weights, budget",
+    [
+        ([], 0),
+        ([], 3),
+        ([1], 0),
+        ([2, 3], 0),
+        ([3, 3, 3], 2),
+        ([2, 3], 7),
+        ([1, 1, 2], 5),
+        ([1, 2, 2, 3, 5], 8),
+    ],
+)
+def test_multisets_match_brute_force_in_pre_order(weights, budget):
+    items = "abcdefgh"[: len(weights)]
+    walked = [(tuple(parts), left) for parts, left in _multisets(items, weights, budget)]
+    # every count vector within the budget, as (item, count) pairs with
+    # count >= 1; sorting these tuples lists them in depth-first pre-order
+    expected = []
+    for counts in product(*(range(budget // w + 1) for w in weights)):
+        used = sum(c * w for c, w in zip(counts, weights))
+        if used <= budget:
+            parts = tuple((item, c) for item, c in zip(items, counts) if c)
+            expected.append((parts, budget - used))
+    assert walked == sorted(expected)
 
 
 def _all_types(max_rank):

@@ -1,5 +1,6 @@
 """Layout rules: the package runs on the standard library alone, the
-test oracles stay independent of it, and every exported name exists."""
+test oracles stay independent of it, and every exported name and every
+function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import k3pi1
 
 PACKAGE = Path(k3pi1.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"
+PERFBENCH_WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
 
 def _imported_modules(path):
@@ -52,3 +54,28 @@ def test_exported_names_resolve():
     assert exports
     for name in exports:
         assert hasattr(k3pi1, name), name
+
+
+def test_perfbench_hooks_resolve():
+    # a traced benchmark run wraps each (module, attr) of HOOKS; read it
+    # with ast, since importing the worker brings in perfbench's own
+    # `oracles` module under the name the test oracles use
+    tree = ast.parse(PERFBENCH_WORKER.read_text(), str(PERFBENCH_WORKER))
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    (hooks,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    ]
+    assert hooks.elts
+    for hook in hooks.elts:
+        module = modules[hook.elts[0].id]
+        attr = ast.literal_eval(hook.elts[1])
+        assert module.startswith("k3pi1."), module
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -192,6 +192,19 @@ def test_trichotomy_sweep_finds_kummer_class_at_16_plus_6():
     assert res.counts["hyperbolic"] == 0
 
 
+def test_trichotomy_sweep_at_25_finds_the_first_hyperbolic_class():
+    # cones (2, 4, 5) need I*0, III* and II*, Euler 6 + 9 + 10 = 25: the
+    # smallest budget with a hyperbolic class, so the bound 24 is sharp
+    res = trichotomy_sweep(25)
+    assert res.total == 19_580_603
+    assert res.counts == {"spherical_or_bad": 19_580_583, "euclidean": 17, "hyperbolic": 3}
+    assert len(res.violations) == 20
+    assert res.hyperbolic[0].describe() == (
+        "hyperbolic cones=[2, 4, 5] r=19 e_orb=2/5 via 1 x I*0[m=2; A1+A1+A1+A1], "
+        "1 x III*[m=4; A1+A3+A3], 1 x II*[m=5; A4+A4]"
+    )
+
+
 def test_trichotomy_sweep_above_24_reports_budget_minus_contributions():
     # e_orb is B - sum(n + 1 - 1/delta), the K3 value only at B = 24, so
     # every euclidean class at B = 26 has e_orb != 0 and is a violation,
