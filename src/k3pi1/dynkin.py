@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
 _LABEL_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 _E_DELTA = {6: 24, 7: 48, 8: 120}
 _E_CARTAN_DET = {6: 3, 7: 2, 8: 1}
+_ORDER = attrgetter("kind", "n")
 
 
 class NotAdeError(ValueError):
@@ -137,7 +139,9 @@ class AdeConfig:
     entries: tuple[DuValType, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        # sorted on plain (kind, n) keys: the same order as DuValType's,
+        # without a Python-level comparison per pair
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=_ORDER)))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "AdeConfig":

@@ -32,6 +32,7 @@ only through conjugation invariants (trace and multiplicative order).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -359,35 +360,54 @@ class DecorationOutcome:
 
 # An outcome key is (m, pieces) with pieces the sorted (kind, n) pairs
 # of the removed config: keys order exactly as (m, config entries) do.
+# Each key enumerator maps its keys to a recipe for one representative
+# removed set: the removed ids themselves for II ... II*, the arc
+# lengths for I_n, and (a, p, b, s, arcs) for I*_n.
 OutcomeKey = tuple[int, tuple[tuple[str, int], ...]]
 
 
+def _removed_ids(base: str, ids: list[str], recipe) -> list[str]:
+    """The removed ids a recipe stands for, given the fiber's component ids."""
+    if base == "I":
+        return _arc_ids(ids, recipe, 0)
+    if base == "I*":
+        a, p, b, s, arcs = recipe
+        tails, chain = ids[:4], ids[4:]
+        return (
+            tails[:a] + tails[2 : 2 + b] + chain[:p] + chain[len(chain) - s :]
+            + _arc_ids(chain, arcs, p + 1)
+        )
+    return recipe
+
+
 def _build_outcomes(
-    t: KodairaType, removed: dict[OutcomeKey, Sequence[str]]
+    t: KodairaType, keys: dict[OutcomeKey, object]
 ) -> tuple[DecorationOutcome, ...]:
-    """One outcome per key, in key order, with `removed[key]` as its
-    representative removed set."""
+    """One outcome per key, in key order, with the removed set of the
+    key's recipe as its representative."""
+    ids = list(fiber_data(t).component_ids)
     types: dict[tuple[str, int], DuValType] = {}
     outcomes = []
-    for key in sorted(removed):
+    for key in sorted(keys):
         m, pieces = key
         for p in pieces:
             if p not in types:
                 types[p] = DuValType(*p)
         config = AdeConfig(tuple(types[p] for p in pieces))
-        outcomes.append(DecorationOutcome(t, m, config, frozenset(removed[key])))
+        removed = frozenset(_removed_ids(t.base, ids, keys[key]))
+        outcomes.append(DecorationOutcome(t, m, config, removed))
     return tuple(outcomes)
 
 
-def _outcomes_by_subsets(t: KodairaType) -> tuple[DecorationOutcome, ...]:
+def _subset_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
     ids = fiber_data(t).component_ids
-    representatives: dict[OutcomeKey, list[str]] = {}
+    keys: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
         removed = [cid for k, cid in enumerate(ids) if mask >> k & 1]
         summary = validate_decoration(Decoration(t, removed))
         pieces = tuple((e.kind, e.n) for e in summary.removed_config.entries)
-        representatives.setdefault((summary.m, pieces), removed)
-    return _build_outcomes(t, representatives)
+        keys.setdefault((summary.m, pieces), removed)
+    return keys
 
 
 def _arc_multisets(budget: int) -> Iterator[list[int]]:
@@ -406,20 +426,15 @@ def _arc_ids(ids: list[str], arcs: Sequence[int], pos: int) -> list[str]:
     return removed
 
 
-def _outcomes_cycle(t: KodairaType) -> tuple[DecorationOutcome, ...]:
-    """Outcome classes for I_n, n >= 1, without subset enumeration.
+def _cycle_keys(n: int) -> dict[OutcomeKey, list[int]]:
+    """Outcome keys of I_n, n >= 1, without subset enumeration.
 
     Removed sets are disjoint unions of arcs of the n-cycle with at
     least one kept component between consecutive arcs; the outcome is
     the multiset of arc lengths, always with m = 1, and each multiset
     is generated once.
     """
-    ids = [f"c{i}" for i in range(t.n)]
-    representatives = {
-        (1, tuple(("A", length) for length in arcs)): _arc_ids(ids, arcs, 0)
-        for arcs in _arc_multisets(t.n)
-    }
-    return _build_outcomes(t, representatives)
+    return {(1, tuple(("A", length) for length in arcs)): arcs for arcs in _arc_multisets(n)}
 
 
 def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
@@ -432,8 +447,8 @@ def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
     return (("A", 3),) if run == 1 else (("D", run + 2),)
 
 
-def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
-    """Outcome classes for I*_n without subset enumeration.
+def _istar_keys(n: int) -> dict[OutcomeKey, tuple]:
+    """Outcome keys of I*_n without subset enumeration.
 
     A removed set is either the whole chain with a + b tails, or (a
     tails at the c0 end, b tails at the cn end, a prefix run of p chain
@@ -445,25 +460,18 @@ def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     Many choices give the same outcome.  The pieces at the two ends and
     m form a head; of all (a, p, b, s) with the same head, among them
     the mirror images (b, s, a, p), only the one leaving the most room
-    for interior runs is expanded, and outcomes are deduplicated on
-    plain keys before any object is built.
+    for interior runs is expanded, and the first recipe of each key is
+    kept.
     """
-    chain = t.n + 1
-    ids = [f"c{i}" for i in range(chain)]
-
-    def removed_ids(a: int, p: int, b: int, s: int, arcs: list[int]) -> list[str]:
-        tails = ["t1", "t2"][:a] + ["t3", "t4"][:b]
-        return tails + ids[:p] + ids[chain - s :] + _arc_ids(ids, arcs, p + 1)
-
+    chain = n + 1
     heads: dict[OutcomeKey, tuple[int, int, int, int, int]] = {}
-    representatives: dict[OutcomeKey, list[str]] = {}
+    keys: dict[OutcomeKey, tuple] = {}
     for a in range(3):
         for b in range(3):
             m = 2 if a == b == 2 else 1
             if m == 1:  # the whole chain: an end run taking in the other end's tails
                 key = (1, _istar_end(max(a, b), chain + min(a, b)))
-                if key not in representatives:
-                    representatives[key] = removed_ids(a, chain, b, 0, [])
+                keys.setdefault(key, (a, chain, b, 0, ()))
             for p in range(chain):
                 for s in range(chain - p):
                     head = (m, tuple(sorted(_istar_end(a, p) + _istar_end(b, s))))
@@ -480,9 +488,18 @@ def _outcomes_istar(t: KodairaType) -> tuple[DecorationOutcome, ...]:
             ]
         for arcs, pieces in interiors[room]:
             key = (m, tuple(sorted(head + pieces)))
-            if key not in representatives:
-                representatives[key] = removed_ids(a, p, b, s, arcs)
-    return _build_outcomes(t, representatives)
+            if key not in keys:
+                keys[key] = (a, p, b, s, arcs)
+    return keys
+
+
+def _outcome_keys(t: KodairaType) -> dict[OutcomeKey, object]:
+    """Every outcome key of a fiber type, each with one recipe."""
+    if t.base == "I*":
+        return _istar_keys(t.n)
+    if t.base == "I":
+        return _cycle_keys(t.n)
+    return _subset_keys(t)
 
 
 @lru_cache(maxsize=None)
@@ -491,12 +508,20 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     sorted by (m, removed config).
 
     Every I_n and I*_n uses the structural enumerations above, which
-    build each outcome once; the tests check them against brute force.
+    find each outcome once; the tests check them against brute force.
     Only II ... II*, with at most 9 components, are enumerated by brute
     force over subsets.
     """
-    if t.base == "I*":
-        return _outcomes_istar(t)
-    if t.base == "I":
-        return _outcomes_cycle(t)
-    return _outcomes_by_subsets(t)
+    return _build_outcomes(t, _outcome_keys(t))
+
+
+@lru_cache(maxsize=None)
+def _outcome_counts(t: KodairaType) -> Counter[int]:
+    """m -> number of nontrivial outcomes of a fiber type.
+
+    I_n and I*_n are counted from their plain keys, so no outcome object
+    is built; II ... II* count their small brute-force tables.
+    """
+    if t.base in ("I", "I*"):
+        return Counter(m for m, pieces in _outcome_keys(t) if pieces)
+    return Counter(o.m for o in decoration_outcomes(t) if o.config.entries)

@@ -29,17 +29,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
+from math import comb, prod
 from typing import Sequence
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
     Decoration,
-    DecorationOutcome,
     DecorationSummary,
     FibrationSummary,
     K3_EULER_NUMBER,
     KodairaType,
+    _outcome_counts,
     decoration_outcomes,
     validate_k3_fibration,
 )
@@ -327,20 +328,13 @@ class SweepResult:
         return not self.violations
 
 
-def _sweep_items(euler_sum: int) -> list[DecorationOutcome]:
-    """The nontrivial decoration outcomes of every fiber type with Euler
-    number <= euler_sum, by increasing Euler number."""
+def _sweep_types(euler_sum: int) -> list[KodairaType]:
+    """Every fiber type with Euler number <= euler_sum, by (Euler number,
+    label): the order in which the sweep lists their outcomes."""
     types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
     types += [KodairaType("I", n) for n in range(1, euler_sum + 1)]
     types += [KodairaType("I*", n) for n in range(0, euler_sum - 5)]
-    types.sort(key=lambda t: (t.euler, t.label))
-    return [
-        o
-        for t in types
-        if t.euler <= euler_sum
-        for o in decoration_outcomes(t)
-        if o.config.entries
-    ]
+    return sorted((t for t in types if t.euler <= euler_sum), key=lambda t: (t.euler, t.label))
 
 
 def trichotomy_sweep(
@@ -350,60 +344,112 @@ def trichotomy_sweep(
 
     Decorations of one fiber are grouped by their outcome (m, removed
     configuration); fibers with nothing removed influence none of the
-    derived invariants and only fill the Euler budget, so enumeration
-    runs over multisets of nontrivial outcomes with total Euler number
-    at most `euler_sum`.
+    derived invariants and only fill the Euler budget, so a class is a
+    multiset of nontrivial outcomes with total Euler number at most
+    `euler_sum`.
 
-    Outcomes with m = 1 carry no cone point and cannot change the
-    classification, so the sweep walks the multisets of m >= 2 outcomes
-    (all from starred fibers, at most four fit the budget) and counts
-    their m = 1 completions with a knapsack table; the completions are
-    expanded one by one only for euclidean or hyperbolic cone parts,
-    where each full instance is checked against r >= 16, orbifold Euler
-    number zero, and the rank gate.  Hyperbolic instances and failed
-    checks are recorded as violations.  Both walks go over the outcomes
-    by increasing Euler number with the shared walker of `dynkin`, so
-    instances and violations are reported in its depth-first pre-order.
+    Only the cone orders m >= 2 decide a class, so the sweep works from
+    counts: per fiber type, the number of nontrivial outcomes of each m,
+    taken from plain outcome keys without building an outcome.  The m = 1
+    outcomes only fill the budget; a knapsack table built from their
+    number per Euler number counts the completions within any budget.
+    The m >= 2 outcomes (all from starred fibers) fall into groups by
+    (Euler number, m), and the walk goes over multisets of groups: c
+    picks from a group of k outcomes stand for C(k + c - 1, c) cone
+    parts, each classified once per group multiset.  Spherical group
+    multisets are counted with their completions.  Euclidean and
+    hyperbolic ones, few (4 at budget 24, 242 at 30), are expanded into
+    their cone parts from the outcome tables of the fiber types
+    involved, and each cone part into its m = 1 completions; every full
+    instance is checked against r >= 16, orbifold Euler number zero, and
+    the rank gate, and hyperbolic instances and failed checks are
+    recorded as violations.  The expanded cone parts are sorted so that
+    instances and violations come in the depth-first pre-order of the
+    shared walker of `dynkin` over all nontrivial outcomes, listed by
+    fiber Euler number, label and table position.
 
     The budget stands in for 24: an instance's orbifold Euler number is
     reported as euler_sum - sum(n + 1 - 1/delta), the K3 value only when
     euler_sum is 24.  Above 24, every hyperbolic class and every
     euclidean class with a nonzero value is therefore a violation.
     """
-    items = _sweep_items(euler_sum)
-    cone_items = [o for o in items if o.m >= 2]
-    flat_items = [o for o in items if o.m == 1]
-    cone_eulers = [o.fiber.euler for o in cone_items]
-    flat_eulers = [o.fiber.euler for o in flat_items]
+    types = _sweep_types(euler_sum)
+    flat = [0] * (euler_sum + 1)  # flat[e]: m = 1 outcomes of Euler number e
+    sizes: dict[tuple[int, int], int] = {}  # (Euler number, m >= 2) -> outcomes
+    for t in types:
+        for m, count in _outcome_counts(t).items():
+            if m == 1:
+                flat[t.euler] += count
+            else:
+                sizes[t.euler, m] = sizes.get((t.euler, m), 0) + count
 
-    # ways[b] = number of multisets of m = 1 outcomes with total Euler b
-    ways = [0] * (euler_sum + 1)
-    ways[0] = 1
-    for e in flat_eulers:
-        for b in range(e, euler_sum + 1):
-            ways[b] += ways[b - e]
+    # ways[b] = number of multisets of m = 1 outcomes with total Euler b;
+    # c outcomes of Euler number e give C(c + k - 1, k) ways to take k
+    ways = [1] + [0] * euler_sum
+    for e, c in enumerate(flat):
+        if c:
+            ways = [
+                sum(comb(c + k - 1, k) * ways[b - k * e] for k in range(b // e + 1))
+                for b in range(euler_sum + 1)
+            ]
     completions_within = list(accumulate(ways))
 
     counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
-    euclidean: list[SweepInstance] = []
-    hyperbolic: list[SweepInstance] = []
-    violations: list[str] = []
     total = 0
 
     @cache
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
         return classify(OrbifoldSignature(cones))
 
-    for cone_part, budget in _multisets(cone_items, cone_eulers, euler_sum):
-        cones = tuple(sorted(o.m for o, n in cone_part for _ in range(n)))
-        cls = classify_cones(cones)
-        if cls.kind == SPHERICAL_OR_BAD:
-            total += completions_within[budget]
-            counts[SPHERICAL_OR_BAD] += completions_within[budget]
+    @cache
+    def group_items(group: tuple[int, int]) -> list:
+        """The outcomes of a group, each with its position in the sweep's
+        outcome order, read from the tables of the types that have any."""
+        e, m = group
+        return [
+            ((t.euler, t.label, index), o)
+            for t in types
+            if t.euler == e and _outcome_counts(t)[m]
+            for index, o in enumerate(decoration_outcomes(t))
+            if o.m == m
+        ]
+
+    expanded = []  # (positions, cone part, cones, kind, budget left)
+    groups = sorted(sizes)
+    for part, left in _multisets(groups, [e for e, _ in groups], euler_sum):
+        cones = tuple(sorted(m for (_, m), c in part for _ in range(c)))
+        kind = classify_cones(cones).kind
+        if kind == SPHERICAL_OR_BAD:
+            classes = prod(comb(sizes[g] + c - 1, c) for g, c in part) * completions_within[left]
+            total += classes
+            counts[kind] += classes
             continue
-        for flat_part, _ in _multisets(flat_items, flat_eulers, budget):
+        picks = []  # per group, every choice of c of its outcomes
+        for g, c in part:
+            items = group_items(g)
+            ones = [1] * len(items)
+            picks.append([list(p) for p, rest in _multisets(items, ones, c) if not rest])
+        for choice in product(*picks):
+            chosen = sorted(pair for pairs in choice for pair in pairs)
+            positions = [(pos, n) for (pos, _), n in chosen]
+            expanded.append((positions, [(o, n) for (_, o), n in chosen], cones, kind, left))
+    expanded.sort(key=lambda x: x[0])
+
+    euclidean: list[SweepInstance] = []
+    hyperbolic: list[SweepInstance] = []
+    violations: list[str] = []
+    most_left = max((left for *_, left in expanded), default=0)
+    flat_items = [
+        o
+        for t in _sweep_types(most_left)
+        for o in decoration_outcomes(t)
+        if o.m == 1 and o.config.entries
+    ]
+    flat_eulers = [o.fiber.euler for o in flat_items]
+    for _, cone_part, cones, kind, left in expanded:
+        for flat_part, _ in _multisets(flat_items, flat_eulers, left):
             total += 1
-            counts[cls.kind] += 1
+            counts[kind] += 1
             chosen = cone_part + flat_part
             config = AdeConfig(tuple(p for o, n in chosen for p in o.config.entries * n))
             r = config.rank
@@ -411,14 +457,14 @@ def trichotomy_sweep(
             instance = SweepInstance(
                 outcomes=tuple((o.fiber.label, o.m, o.config.labels, n) for o, n in chosen),
                 cone_orders=cones,
-                classification=cls.kind,
+                classification=kind,
                 r=r,
                 e_orb=e_orb,
             )
-            reported = hyperbolic if cls.kind == HYPERBOLIC else euclidean
+            reported = hyperbolic if kind == HYPERBOLIC else euclidean
             if collect_limit is None or len(reported) < collect_limit:
                 reported.append(instance)
-            if cls.kind == HYPERBOLIC:
+            if kind == HYPERBOLIC:
                 violations.append(f"hyperbolic instance: {instance.describe()}")
             else:
                 if r < 16:

@@ -12,7 +12,9 @@ library so the two sides of each check share no code:
 * 2x2 integer matrix powering,
 * Todd-Coxeter coset enumeration, used to validate the orbifold group
   orders,
-* the generating function counting sweep classes.
+* the generating function counting sweep classes,
+* the cone-order signatures within an Euler budget, from the smallest
+  Euler number of an outcome with each cone order.
 
 Nothing here imports k3pi1.
 """
@@ -461,3 +463,30 @@ def gf_total(eulers, budget: int) -> int:
         for b in range(e, budget + 1):
             ways[b] += ways[b - e]
     return sum(ways)
+
+
+def cone_signatures_by_cost(min_euler, budget: int) -> dict:
+    """Every cone-order multiset whose cheapest realization fits the
+    budget, as sorted orders -> (cost, kind).
+
+    `min_euler[m]` is the smallest Euler number of a fiber outcome with
+    cone order m; a signature costs the sum of these over its cone
+    points, every other fiber being left undecorated.  The kind is the
+    sign of the orbifold Euler characteristic 2 - sum(1 - 1/m) of the
+    sphere with these cone points: "spherical_or_bad" when positive,
+    "euclidean" when zero, "hyperbolic" when negative.
+    """
+    orders = sorted(min_euler)
+    found = {}
+
+    def rec(start, chosen, cost):
+        chi = 2 - sum(1 - Fraction(1, m) for m in chosen)
+        kind = "spherical_or_bad" if chi > 0 else "euclidean" if chi == 0 else "hyperbolic"
+        found[tuple(chosen)] = (cost, kind)
+        for idx in range(start, len(orders)):
+            m = orders[idx]
+            if cost + min_euler[m] <= budget:
+                rec(idx, chosen + [m], cost + min_euler[m])
+
+    rec(0, [], 0)
+    return found

@@ -1,5 +1,6 @@
 """Tests for Du Val type data and ADE diagram recognition."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -185,6 +186,22 @@ def test_config_canonical_order_and_rank():
     assert c.labels == ("A1", "A1", "D4", "E8")
     assert c.rank == 14
     assert (c + AdeConfig.from_labels(["A2"])).rank == 16
+
+
+def test_config_sorts_reversed_and_shuffled_entries():
+    types = _all_types(9) * 2
+    canonical = tuple(sorted(types))  # DuValType's own order
+    assert AdeConfig(canonical).entries == canonical
+    assert AdeConfig(canonical[::-1]).entries == canonical
+    for seed in range(5):
+        shuffled = random.Random(seed).sample(types, len(types))
+        assert AdeConfig(tuple(shuffled)).entries == canonical, seed
+        assert AdeConfig(shuffled).entries == canonical, seed
+        half = len(shuffled) // 2
+        both = AdeConfig(tuple(shuffled[half:])) + AdeConfig(tuple(shuffled[:half]))
+        assert both.entries == canonical, seed
+    labels = [t.label for t in canonical[::-1]]
+    assert AdeConfig.from_labels(labels).entries == canonical
 
 
 def test_enumerate_ade_configs_small():

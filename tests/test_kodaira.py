@@ -196,24 +196,20 @@ def test_validate_k3_fibration_rejects_bad_euler_sum():
     assert exc.value.actual == 30
 
 
-def _table(outcomes):
-    return [(o.m, o.config) for o in outcomes]
-
-
 def test_decoration_outcomes_match_brute_force_cycle():
-    from k3pi1.kodaira import _outcomes_by_subsets, _outcomes_cycle
+    from k3pi1.kodaira import _cycle_keys, _subset_keys
 
     for n in range(1, 14):
         t = KodairaType("I", n)
-        assert _table(_outcomes_cycle(t)) == _table(_outcomes_by_subsets(t)), n
+        assert sorted(_cycle_keys(n)) == sorted(_subset_keys(t)), n
 
 
 def test_decoration_outcomes_match_brute_force_istar():
-    from k3pi1.kodaira import _outcomes_by_subsets, _outcomes_istar
+    from k3pi1.kodaira import _istar_keys, _subset_keys
 
     for n in range(0, 9):
         t = KodairaType("I*", n)
-        assert _table(_outcomes_istar(t)) == _table(_outcomes_by_subsets(t)), n
+        assert sorted(_istar_keys(n)) == sorted(_subset_keys(t)), n
 
 
 def test_decoration_outcomes_representatives_are_valid():

@@ -1,6 +1,8 @@
 """Tests for the end-to-end pipeline."""
 
+import hashlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -17,7 +19,7 @@ from k3pi1.surface import (
     trichotomy_sweep,
 )
 
-from oracles import gf_total
+from oracles import cone_signatures_by_cost, gf_total
 
 K = KodairaType.parse
 
@@ -233,16 +235,123 @@ def test_trichotomy_sweep_at_30():
     )
 
 
-def _outcome_eulers(budget):
-    """Euler number of every nontrivial outcome of every fiber type that
-    fits the budget, read from the public decoration_outcomes tables."""
+# sweeps shared by the report-order and certificate tests below
+_sweep = cache(trichotomy_sweep)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# SHA-256 of the ordered violations and of the ordered describe() lines
+# of the reported instances, euclidean then hyperbolic
+REPORT_DIGESTS = {
+    25: (
+        "9c3df8ed2055fb962bbed585b7253894df8fa0cd79f3e13b83898a7d17cfaaf6",
+        "5f3cf5d6326d56c06ba48379cecf99a881704478aafb62a441615bb344729fb0",
+    ),
+    26: (
+        "c17a7943c3e4194e31d3a65f1e5442eea2425b3ac0b0bb95261b1f036f16b21e",
+        "c94bd3040b8ff20e7442412cec2f734442772501571aac1a49bbb3dae43eef56",
+    ),
+    30: (
+        "2b3302e39e5ab757e00128009955447a15f6e4685f6f91b62f6d8b63c33f5c67",
+        "fb2e4e9fa6d6ee8f23ca67498e84a8c14073db268e5c56e460dc0858f4d7f85d",
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(REPORT_DIGESTS))
+def test_trichotomy_sweep_report_order_is_pinned(budget):
+    # the whole ordered report, not only its first line
+    res = _sweep(budget)
+    lines = [i.describe() for i in res.euclidean + res.hyperbolic]
+    assert (_digest(res.violations), _digest(lines)) == REPORT_DIGESTS[budget]
+
+
+def test_trichotomy_sweep_collect_limit_keeps_the_first_instances():
+    full = _sweep(30)
+    res = trichotomy_sweep(30, collect_limit=3)
+    assert (res.total, res.counts, res.violations) == (full.total, full.counts, full.violations)
+    assert res.euclidean == full.euclidean[:3]
+    assert res.hyperbolic == full.hyperbolic[:3]
+
+
+def test_cold_sweep_builds_few_outcome_tables():
+    # the sweep counts outcomes from plain keys; outcome tables are built
+    # only for the fiber types of the classes it expands (and II ... II*)
+    decoration_outcomes.cache_clear()
+    res = trichotomy_sweep(24)
+    assert decoration_outcomes.cache_info().currsize <= 10
+    assert res.total == gf_total(_outcome_eulers(24), 24)
+    assert decoration_outcomes.cache_info().currsize == 49
+
+
+def _min_euler_per_cone_order(budget):
+    """The smallest Euler number of an outcome with each cone order m >= 2
+    among the fiber types that fit the budget, read from the public
+    decoration_outcomes tables by increasing Euler number."""
+    types = sorted(_sweep_fiber_types(budget), key=lambda t: t.euler)
+    # m divides the multiplicity of every kept component
+    top = max(m for t in types for _, m in fiber_data(t).components)
+    best = {}
+    for m in range(2, top + 1):
+        for t in types:
+            if any(o.m == m for o in decoration_outcomes(t)):
+                best[m] = t.euler
+                break
+    return best
+
+
+def test_certificate_oracle_agrees_with_the_sweep():
+    min_euler = _min_euler_per_cone_order(30)
+    assert min_euler == {2: 6, 3: 8, 4: 9, 5: 10, 6: 10}
+    first_hyperbolic = None
+    for budget in range(24, 31):
+        res = _sweep(budget)
+        expected = {
+            cones: kind
+            for cones, (_, kind) in cone_signatures_by_cost(min_euler, budget).items()
+            if kind != "spherical_or_bad"
+        }
+        found = {i.cone_orders: i.classification for i in res.euclidean + res.hyperbolic}
+        assert found == expected, budget
+        if first_hyperbolic is None and res.hyperbolic:
+            first_hyperbolic = budget
+    # the cheapest hyperbolic signatures cost 25, so the bound 24 is sharp
+    certificate = cone_signatures_by_cost(min_euler, 30)
+    assert first_hyperbolic == 25
+    assert min(cost for cost, kind in certificate.values() if kind == "hyperbolic") == 25
+    assert _sweep(25).hyperbolic[0].cone_orders == (2, 4, 5)
+    assert certificate[2, 4, 5] == (25, "hyperbolic")
+    # at 24 the four euclidean signatures cost exactly 24: no room for
+    # completions, so there is one class each
+    euclidean = {
+        cones: cost
+        for cones, (cost, kind) in cone_signatures_by_cost(min_euler, 24).items()
+        if kind == "euclidean"
+    }
+    assert euclidean == {(2, 2, 2, 2): 24, (3, 3, 3): 24, (2, 4, 4): 24, (2, 3, 6): 24}
+    res = _sweep(24)
+    assert res.counts["euclidean"] == 4
+    assert sorted(i.cone_orders for i in res.euclidean) == sorted(euclidean)
+    assert all(i.r >= 16 and i.e_orb == 0 for i in res.euclidean)
+
+
+def _sweep_fiber_types(budget):
+    """Every fiber type whose Euler number fits the budget."""
     types = [K(b) for b in ("II", "III", "IV", "IV*", "III*", "II*")]
     types += [KodairaType("I", n) for n in range(1, budget + 1)]
     types += [KodairaType("I*", n) for n in range(0, budget - 5)]
+    return [t for t in types if t.euler <= budget]
+
+
+def _outcome_eulers(budget):
+    """Euler number of every nontrivial outcome of every fiber type that
+    fits the budget, read from the public decoration_outcomes tables."""
     return [
         t.euler
-        for t in types
-        if t.euler <= budget
+        for t in _sweep_fiber_types(budget)
         for o in decoration_outcomes(t)
         if o.config.entries
     ]
