@@ -65,6 +65,10 @@ from .surface import NormalK3Input, _frac_str, analyze, trichotomy_sweep
 
 __all__ = ["main", "entry", "InputError", "load_config"]
 
+# `kodaira info` prints an I_n or I*_n table only up to this index: the
+# table has O(n) lines, about 11 MB of JSON at the bound
+KODAIRA_INFO_MAX_N = 100_000
+
 
 class InputError(Exception):
     """Invalid user input; `field` names the offending part."""
@@ -340,6 +344,10 @@ def _cmd_lattice_k3(args) -> tuple[dict, list[str], int]:
 def _cmd_kodaira_info(args) -> tuple[dict, list[str], int]:
     with _field("label"):
         fiber = KodairaType.parse(args.label)
+    if fiber.n is not None and fiber.n > KODAIRA_INFO_MAX_N:
+        raise InputError(
+            "label", f"{fiber.label}: tables are printed up to n = {KODAIRA_INFO_MAX_N}"
+        )
     data = fiber_data(fiber)
     payload = {
         "label": fiber.label,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -166,6 +167,7 @@ class AdeConfig:
         return "[" + ", ".join(self.labels) + "]"
 
 
+@lru_cache(maxsize=1024)
 def local_euler_contribution(t: DuValType) -> Fraction:
     """Contribution n + 1 - 1/delta of one singular point to the Euler number.
 

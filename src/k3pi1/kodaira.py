@@ -275,9 +275,13 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     The removed set must be a proper subset of the components and its
     induced subgraph must be a disjoint union of ADE diagrams with no
     repeated intersections.  m is the gcd of the multiplicities of the
-    kept components (computed over all components when nothing is
-    removed; the tests check this is always 1).
+    kept components.  With nothing removed the decoration is valid and
+    m = 1, since every fiber type has a component of multiplicity 1
+    (the tests check this against the tables), so no table is built:
+    an undecorated fiber costs O(1) whatever its n.
     """
+    if not d.removed:
+        return DecorationSummary(decoration=d, m=1, removed_config=AdeConfig())
     data = fiber_data(d.fiber)
     ids = set(data.component_ids)
     unknown = d.removed - ids
@@ -293,8 +297,6 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     m = 0
     for mult in kept:
         m = gcd(m, mult)
-    if not d.removed:
-        return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig())
     induced = []
     for u, v, w in data.dual_graph:
         if u in d.removed and v in d.removed:

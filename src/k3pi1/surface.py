@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
@@ -79,12 +79,14 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
     """24 minus the sum of the local contributions n + 1 - 1/delta.
 
     May be negative for configurations no normal K3 surface realizes;
-    the value is reported as is.
+    the value is reported as is.  The contributions (cached per type)
+    are summed in integers over their least common denominator, and one
+    Fraction is built at the end.
     """
-    total = Fraction(K3_EULER_NUMBER)
-    for t in c.entries:
-        total -= local_euler_contribution(t)
-    return total
+    parts = [local_euler_contribution(t) for t in c.entries]
+    den = lcm(*(p.denominator for p in parts))
+    lost = sum(p.numerator * (den // p.denominator) for p in parts)
+    return Fraction(K3_EULER_NUMBER * den - lost, den)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,17 @@ from pathlib import Path
 
 import pytest
 
+from k3pi1 import cli
 from k3pi1.cli import InputError, _build_parser, load_config, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = Path(__file__).parent / "cli_corpus.json"
+
+
+def _cap_memory():
+    """Run a subprocess under a 1 GiB address-space limit."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_cli(*args):
@@ -148,21 +154,38 @@ def test_lattice_isotropic_huge_bound_in_bounded_memory(tmp_path):
     # the 2 * 10^8 + 1 candidate values must not be listed up front
     mat = tmp_path / "d.txt"
     mat.write_text("1 0\n0 -3\n")
-    limit = 1 << 30
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     proc = subprocess.run(
         [sys.executable, "-m", "k3pi1", "lattice", "isotropic", str(mat),
          "--bound", "100000000"],
         capture_output=True,
         timeout=60,
-        preexec_fn=cap_memory,
+        preexec_fn=_cap_memory,
     )
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith(b"exhausted:") for line in proc.stdout.splitlines())
     assert proc.stderr == b""
+
+
+def test_huge_fibers_fail_fast_in_bounded_memory(tmp_path):
+    # an undecorated I_n is checked without its O(n) component table, and
+    # `kodaira info` refuses an index above its bound before building one
+    config = tmp_path / "huge.json"
+    config.write_text('{"fibration": {"fibers": [{"kodaira": "I", "n": 1000000000000}]}}')
+    for argv, line in (
+        (["analyze", str(config)],
+         "error: fiber Euler numbers sum to 1000000000000, a K3 surface needs 24"),
+        (["kodaira", "info", "I1000000"],
+         "error: label: I1000000: tables are printed up to n = 100000"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3pi1", *argv],
+            capture_output=True,
+            timeout=60,
+            preexec_fn=_cap_memory,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [line]
 
 
 def test_kodaira_info():
@@ -173,6 +196,16 @@ def test_kodaira_info():
     code, out, err = run_cli("kodaira", "info", "I9*")
     assert code == 1
     assert "label" in err
+
+
+def test_kodaira_info_index_bound(monkeypatch):
+    monkeypatch.setattr(cli, "KODAIRA_INFO_MAX_N", 5)
+    for label in ("I5", "I*5", "IV*"):
+        assert run_cli("kodaira", "info", label)[0] == 0, label
+    for label in ("I6", "I*6"):
+        code, out, err = run_cli("kodaira", "info", label)
+        assert (code, out) == (1, ""), label
+        assert err == f"error: label: {label}: tables are printed up to n = 5\n"
 
 
 def test_pi1_quotient():

@@ -8,6 +8,7 @@ from k3pi1.kodaira import (
     EulerSumMismatch,
     FullSupportRemoved,
     KodairaType,
+    UnknownComponent,
     decoration_outcomes,
     fiber_data,
     validate_decoration,
@@ -158,9 +159,23 @@ def test_iv_any_two_removed_gives_a2():
 
 def test_empty_decoration_has_m_one_everywhere():
     for t in _small_types():
+        # m = 1 with nothing removed rests on a multiplicity-1 component
+        assert any(mult == 1 for _, mult in fiber_data(t).components), t.label
         s = validate_decoration(Decoration(t, frozenset()))
         assert s.m == 1, t.label
         assert s.removed_config.rank == 0
+
+
+def test_undecorated_huge_fiber_is_rejected_without_building_its_table():
+    huge = Decoration(KodairaType("I", 3_000_000))
+    fiber_data.cache_clear()
+    with pytest.raises(EulerSumMismatch) as exc:
+        validate_k3_fibration([huge])
+    assert exc.value.actual == 3_000_000
+    assert fiber_data.cache_info().currsize == 0
+    # decoration errors still come before the Euler sum
+    with pytest.raises(UnknownComponent, match="zz"):
+        validate_k3_fibration([huge, Decoration(I("I*0"), {"zz"})])
 
 
 def test_all_proper_removed_sets_classify(per_type_limit=10):
