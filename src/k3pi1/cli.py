@@ -40,8 +40,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
 
 from .dynkin import AdeConfig
 from .kodaira import Decoration, KodairaType, fiber_data
@@ -91,7 +91,7 @@ _ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _integer(
-    raw: Any, field: str, text: bool = False, message: str = "matrix entries must be integers"
+    raw: object, field: str, text: bool = False, message: str = "matrix entries must be integers"
 ) -> int:
     """`raw` as an int, else InputError(field, message): a JSON integer (not a
     float, string or boolean) or, with `text`, ASCII digits and an optional sign."""
@@ -113,7 +113,7 @@ def _read_file(path: str) -> str:
         raise InputError(path, f"not UTF-8 text (byte {exc.start})") from exc
 
 
-def _load_json_file(path: str, text: str | None = None) -> Any:
+def _load_json_file(path: str, text: str | None = None) -> object:
     """The JSON value in file `path`, whose `text` may have been read already."""
     try:
         return json.loads(_read_file(path) if text is None else text)
@@ -125,7 +125,7 @@ def _load_json_file(path: str, text: str | None = None) -> Any:
         raise InputError(path, "JSON nested too deeply") from exc
 
 
-def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
+def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
     if not isinstance(raw, list):
         raise InputError(field, "expected a list of 2x2 matrices")
     mats = []
@@ -157,7 +157,7 @@ def _parse_monodromy(raw: Any, field: str, fibers: list[Decoration] | None) -> M
         return MonodromyRep(tuple(mats), tuple(declared))
 
 
-def _parse_fiber(raw: Any, field: str) -> Decoration:
+def _parse_fiber(raw: object, field: str) -> Decoration:
     if not isinstance(raw, dict) or "kodaira" not in raw:
         raise InputError(field, 'expected an object with a "kodaira" label')
     label = raw["kodaira"]

@@ -22,11 +22,10 @@ cyclotomic matrix entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DuValType",
@@ -40,31 +39,31 @@ __all__ = [
 _LABEL_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 _E_DELTA = {6: 24, 7: 48, 8: 120}
 _E_CARTAN_DET = {6: 3, 7: 2, 8: 1}
-_ORDER = attrgetter("kind", "n")
 
 
 class NotAdeError(ValueError):
     """A graph (or graph component) is not a disjoint union of ADE diagrams."""
 
 
-@dataclass(frozen=True, order=True)
-class DuValType:
-    """A Dynkin label: kind in {A, D, E} with the usual rank restrictions."""
+class DuValType(namedtuple("DuValType", "kind n")):
+    """A Dynkin label: kind in {A, D, E} with the usual rank restrictions.
 
-    kind: str
-    n: int
+    Ordered as the pair (kind, n)."""
 
-    def __post_init__(self) -> None:
-        if self.kind == "A":
-            ok = self.n >= 1
-        elif self.kind == "D":
-            ok = self.n >= 4
-        elif self.kind == "E":
-            ok = self.n in (6, 7, 8)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int) -> "DuValType":
+        if kind == "A":
+            ok = n >= 1
+        elif kind == "D":
+            ok = n >= 4
+        elif kind == "E":
+            ok = n in (6, 7, 8)
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid Du Val type {self.kind}{self.n}")
+            raise ValueError(f"invalid Du Val type {kind}{n}")
+        return tuple.__new__(cls, (kind, n))
 
     @property
     def rank(self) -> int:
@@ -133,16 +132,13 @@ class DuValType:
         return self.label
 
 
-@dataclass(frozen=True)
-class AdeConfig:
+class AdeConfig(namedtuple("AdeConfig", "entries")):
     """A multiset of Du Val types, stored as a canonically sorted tuple."""
 
-    entries: tuple[DuValType, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # sorted on plain (kind, n) keys: the same order as DuValType's,
-        # without a Python-level comparison per pair
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=_ORDER)))
+    def __new__(cls, entries: tuple[DuValType, ...] = ()) -> "AdeConfig":
+        return tuple.__new__(cls, (tuple(sorted(entries)),))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "AdeConfig":

@@ -32,11 +32,10 @@ only through conjugation invariants (trace and multiplicative order).
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Sequence
 
 from .dynkin import AdeConfig, DuValType, NotAdeError, _multisets, recognize_ade
 
@@ -92,26 +91,25 @@ class EulerSumMismatch(DecorationError):
         self.actual = actual
 
 
-@dataclass(frozen=True, order=True)
-class KodairaType:
+class KodairaType(namedtuple("KodairaType", "base n")):
     """A Kodaira fiber label: I_n (n >= 1), II, III, IV, I*_n (n >= 0),
-    IV*, III*, II*."""
+    IV*, III*, II*.  Ordered as the pair (base, n)."""
 
-    base: str
-    n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base == "I":
-            if self.n is None or self.n < 1:
-                raise ValueError(f"type I needs n >= 1, got {self.n}")
-        elif self.base == "I*":
-            if self.n is None or self.n < 0:
-                raise ValueError(f"type I* needs n >= 0, got {self.n}")
-        elif self.base in _PLAIN:
-            if self.n is not None:
-                raise ValueError(f"type {self.base} takes no index")
+    def __new__(cls, base: str, n: int | None = None) -> "KodairaType":
+        if base == "I":
+            if n is None or n < 1:
+                raise ValueError(f"type I needs n >= 1, got {n}")
+        elif base == "I*":
+            if n is None or n < 0:
+                raise ValueError(f"type I* needs n >= 0, got {n}")
+        elif base in _PLAIN:
+            if n is not None:
+                raise ValueError(f"type {base} takes no index")
         else:
-            raise ValueError(f"invalid Kodaira base {self.base!r}")
+            raise ValueError(f"invalid Kodaira base {base!r}")
+        return tuple.__new__(cls, (base, n))
 
     @property
     def label(self) -> str:
@@ -146,15 +144,12 @@ class KodairaType:
         return self.label
 
 
-@dataclass(frozen=True)
-class FiberData:
-    """Canonical table entry for one Kodaira fiber type."""
+class FiberData(namedtuple("FiberData", "fiber components dual_graph monodromy euler")):
+    """Canonical table entry for one Kodaira fiber type: the components
+    as (id, multiplicity) pairs, the dual graph as (id, id, weight)
+    edges, the monodromy matrix and the Euler number."""
 
-    fiber: KodairaType
-    components: tuple[tuple[str, int], ...]
-    dual_graph: tuple[tuple[str, str, int], ...]
-    monodromy: Mat2
-    euler: int
+    __slots__ = ()
 
     @property
     def component_ids(self) -> tuple[str, ...]:
@@ -245,28 +240,23 @@ def fiber_data(t: KodairaType) -> FiberData:
     return _build_fiber(t)
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(namedtuple("Decoration", "fiber removed")):
     """A fiber type plus the set of component ids marked as removed."""
 
-    fiber: KodairaType
-    removed: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "removed", frozenset(self.removed))
+    def __new__(cls, fiber: KodairaType, removed: frozenset[str] = frozenset()) -> "Decoration":
+        return tuple.__new__(cls, (fiber, frozenset(removed)))
 
     @property
     def is_trivial(self) -> bool:
         return not self.removed
 
 
-@dataclass(frozen=True)
-class DecorationSummary:
+class DecorationSummary(namedtuple("DecorationSummary", "decoration m removed_config")):
     """A validated decoration with its kept gcd m and removed ADE config."""
 
-    decoration: Decoration
-    m: int
-    removed_config: AdeConfig
+    __slots__ = ()
 
 
 def validate_decoration(d: Decoration) -> DecorationSummary:
@@ -312,13 +302,11 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig(tuple(types)))
 
 
-@dataclass(frozen=True)
-class FibrationSummary:
-    """Aggregate of a validated list of decorated fibers."""
+class FibrationSummary(namedtuple("FibrationSummary", "summaries config euler_total")):
+    """Aggregate of a validated list of decorated fibers: their
+    summaries, the sum of the removed configs, and the Euler total."""
 
-    summaries: tuple[DecorationSummary, ...]
-    config: AdeConfig
-    euler_total: int
+    __slots__ = ()
 
     @property
     def r(self) -> int:
@@ -346,18 +334,14 @@ def validate_k3_fibration(fibers: Sequence[Decoration]) -> FibrationSummary:
 # decoration outcome classes (used by the exhaustive trichotomy sweep)
 
 
-@dataclass(frozen=True)
-class DecorationOutcome:
+class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed")):
     """One class of decorations of a fiber type.
 
     Decorations are grouped by their observable result (m, removed
     config); `removed` holds one representative subset.
     """
 
-    fiber: KodairaType
-    m: int
-    config: AdeConfig
-    removed: frozenset[str]
+    __slots__ = ()
 
 
 # An outcome key is (m, pieces) with pieces the sorted (kind, n) pairs

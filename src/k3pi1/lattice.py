@@ -13,11 +13,11 @@ the pivots of the search's anisotropy test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
-from typing import Iterator, Sequence
 
 from .dynkin import AdeConfig, DuValType
 
@@ -51,14 +51,13 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class IntegerGram:
+class IntegerGram(namedtuple("IntegerGram", "rows")):
     """A symmetric integer matrix viewed as the Gram matrix of a lattice."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "IntegerGram":
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -67,7 +66,7 @@ class IntegerGram:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
     def from_rows(cls, rows: Matrix) -> "IntegerGram":
@@ -82,13 +81,11 @@ class IntegerGram:
         return all(self.rows[i][i] % 2 == 0 for i in range(self.dim))
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """U A V = D with U, V unimodular and D the Smith normal form."""
+class SnfResult(namedtuple("SnfResult", "u d v")):
+    """U A V = D with U, V unimodular and D the Smith normal form, each
+    matrix a tuple of row tuples."""
 
-    u: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -544,18 +541,16 @@ def _search(
     return inertia, dfs(0, 0, False)
 
 
-@dataclass(frozen=True)
-class MeyerReport:
+class MeyerReport(namedtuple("MeyerReport", "signature bound vector")):
     """Outcome of the bounded isotropic search with the rank/indefiniteness
-    hypotheses of Meyer's theorem spelled out.
+    hypotheses of Meyer's theorem spelled out: the signature (n_+, n_-,
+    n_0), the search bound, and the isotropic vector found or None.
 
     An exhausted search under the hypotheses is only a bound warning,
     never a refutation: the theorem guarantees an isotropic vector
     exists, just not inside the box."""
 
-    signature: tuple[int, int, int]
-    bound: int
-    vector: tuple[int, ...] | None
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

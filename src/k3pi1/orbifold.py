@@ -18,7 +18,7 @@ Todd-Coxeter coset enumeration (tests/oracles.py) on the presentation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -42,21 +42,20 @@ EUCLIDEAN_SIGNATURES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
     """Multiset of cone point orders, stored sorted with 1s dropped."""
 
-    cone_orders: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, cone_orders: tuple[int, ...] = ()) -> "OrbifoldSignature":
         orders = []
-        for m in self.cone_orders:
+        for m in cone_orders:
             m = int(m)
             if m < 1:
                 raise ValueError(f"cone order must be >= 1, got {m}")
             if m > 1:
                 orders.append(m)
-        object.__setattr__(self, "cone_orders", tuple(sorted(orders)))
+        return tuple.__new__(cls, (tuple(sorted(orders)),))
 
     @classmethod
     def parse(cls, text: str) -> "OrbifoldSignature":
@@ -81,13 +80,11 @@ def orbifold_euler_characteristic(s: OrbifoldSignature) -> Fraction:
     return chi
 
 
-@dataclass(frozen=True)
-class OrbifoldClass:
+class OrbifoldClass(namedtuple("OrbifoldClass", "kind order", defaults=(None,))):
     """Classification result; `order` is the group order in the
     spherical-or-bad case and None otherwise."""
 
-    kind: str
-    order: int | None = None
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:

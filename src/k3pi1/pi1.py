@@ -12,9 +12,9 @@ computes the quotient through the Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence
 
 from .kodaira import KodairaType, Mat2
 from .lattice import smith_normal_form
@@ -160,23 +160,22 @@ def expected_class(fiber: KodairaType) -> MonodromyClass:
     }[fiber.base]
 
 
-@dataclass(frozen=True)
-class MonodromyRep:
+class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
     """An ordered tuple of 2x2 integer matrices, optionally annotated
     with the Kodaira type each entry is supposed to represent."""
 
-    matrices: tuple[Mat2, ...]
-    declared: tuple[KodairaType | None, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        mats = tuple(as_mat2(m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        declared = tuple(self.declared)
+    def __new__(
+        cls, matrices: tuple[Mat2, ...], declared: tuple[KodairaType | None, ...] = ()
+    ) -> "MonodromyRep":
+        mats = tuple(as_mat2(m) for m in matrices)
+        declared = tuple(declared)
         if not declared:
             declared = (None,) * len(mats)
         if len(declared) != len(mats):
             raise ValueError("declared labels do not match the matrix count")
-        object.__setattr__(self, "declared", declared)
+        return tuple.__new__(cls, (mats, declared))
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -204,18 +203,17 @@ def validate_representation(rep: MonodromyRep) -> tuple[MonodromyClass, ...]:
     return classes
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
     """Finitely generated abelian group as invariant factors d_1 | d_2 | ...
 
     0 encodes a free factor; factors equal to 1 are dropped, zeros come
     last, so the trivial group is the empty tuple.
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.invariant_factors if d != 1)
+    def __new__(cls, invariant_factors: tuple[int, ...] = ()) -> "AbelianGroup":
+        factors = tuple(int(d) for d in invariant_factors if d != 1)
         for d in factors:
             if d < 0:
                 raise ValueError("invariant factors must be nonnegative")
@@ -226,7 +224,7 @@ class AbelianGroup:
         for a, b in zip(nonzero, nonzero[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain {factors}")
-        object.__setattr__(self, "invariant_factors", factors)
+        return tuple.__new__(cls, (factors,))
 
     @property
     def rank(self) -> int:

@@ -26,12 +26,12 @@ with r >= 16 and orbifold Euler number exactly zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
 from math import comb, lcm, prod
-from typing import Sequence
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
@@ -89,12 +89,10 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
     return Fraction(K3_EULER_NUMBER * den - lost, den)
 
 
-@dataclass(frozen=True)
-class RankGate:
+class RankGate(namedtuple("RankGate", "r passes")):
     """r <= 15 guarantees a finite fundamental group of the smooth locus."""
 
-    r: int
-    passes: bool
+    __slots__ = ()
 
 
 def rank_gate(c: AdeConfig) -> RankGate:
@@ -114,21 +112,24 @@ def _rank_gate(r: int, e_orb: Fraction) -> RankGate:
     return RankGate(r=r, passes=passes)
 
 
-@dataclass(frozen=True)
-class NormalK3Input:
+class NormalK3Input(namedtuple("NormalK3Input", "singularities fibers monodromy")):
     """Either a bare singularity configuration or a decorated fibration."""
 
-    singularities: AdeConfig | None = None
-    fibers: tuple[Decoration, ...] | None = None
-    monodromy: MonodromyRep | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.singularities is None) == (self.fibers is None):
+    def __new__(
+        cls,
+        singularities: AdeConfig | None = None,
+        fibers: tuple[Decoration, ...] | None = None,
+        monodromy: MonodromyRep | None = None,
+    ) -> "NormalK3Input":
+        if (singularities is None) == (fibers is None):
             raise ValueError(
                 "exactly one of singularities/fibers must be provided"
             )
-        if self.monodromy is not None and self.fibers is None:
+        if monodromy is not None and fibers is None:
             raise ValueError("a monodromy representation needs fibered input")
+        return tuple.__new__(cls, (singularities, fibers, monodromy))
 
     @classmethod
     def bare(cls, config: AdeConfig) -> "NormalK3Input":
@@ -143,35 +144,35 @@ class NormalK3Input:
         return cls(fibers=tuple(decorations), monodromy=monodromy)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    orbifold_order: int | None = None
-    cone_orders: tuple[int, ...] | None = None
-    abelian_quotient: AbelianGroup | None = None
+class Verdict(
+    namedtuple(
+        "Verdict",
+        "kind orbifold_order cone_orders abelian_quotient",
+        defaults=(None, None, None),
+    )
+):
+    __slots__ = ()
 
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Report:
-    """Everything the pipeline derives from one input."""
+class Report(
+    namedtuple(
+        "Report",
+        "kind config r e_orb gate fibers cone_orders classification verdict"
+        " rank_gate_consistent euclidean_euler_zero monodromy_quotient"
+        " monodromy_quotient_trivial",
+        defaults=(None,) * 8,
+    )
+):
+    """Everything the pipeline derives from one input.  The fields after
+    `gate` default to None, which marks what does not apply to the input
+    (the fiber data of bare input) or was not computed (the monodromy
+    quotient without a representation)."""
 
-    kind: str
-    config: AdeConfig
-    r: int
-    e_orb: Fraction
-    gate: RankGate
-    fibers: tuple[DecorationSummary, ...] | None = None
-    cone_orders: tuple[int, ...] | None = None
-    classification: OrbifoldClass | None = None
-    verdict: Verdict | None = None
-    rank_gate_consistent: bool | None = None
-    euclidean_euler_zero: bool | None = None
-    monodromy_quotient: AbelianGroup | None = None
-    monodromy_quotient_trivial: bool | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         fibers = None
@@ -294,17 +295,14 @@ def analyze(input_: NormalK3Input) -> Report:
 # exhaustive trichotomy sweep
 
 
-@dataclass(frozen=True)
-class SweepInstance:
+class SweepInstance(
+    namedtuple("SweepInstance", "outcomes cone_orders classification r e_orb")
+):
     """One configuration class found by the sweep: the multiset of
-    nontrivial decoration outcomes, with the derived invariants."""
+    nontrivial decoration outcomes, as (fiber label, m, removed config
+    labels, count) entries, with the derived invariants."""
 
-    outcomes: tuple[tuple[str, int, tuple[str, ...], int], ...]
-    # entries are (fiber label, m, removed config labels, count)
-    cone_orders: tuple[int, ...]
-    classification: str
-    r: int
-    e_orb: Fraction
+    __slots__ = ()
 
     def describe(self) -> str:
         parts = [
@@ -317,13 +315,13 @@ class SweepInstance:
         )
 
 
-@dataclass
-class SweepResult:
-    total: int
-    counts: dict[str, int]
-    euclidean: list[SweepInstance]
-    hyperbolic: list[SweepInstance]
-    violations: list[str]
+class SweepResult(
+    namedtuple("SweepResult", "total counts euclidean hyperbolic violations")
+):
+    """The class total, the count per classification, the euclidean and
+    hyperbolic instances kept, and the violation lines."""
+
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -1,9 +1,11 @@
 """Layout rules: the package runs on the standard library alone, the
-test oracles stay independent of it, and every exported name and every
-function the benchmark traces exists."""
+test oracles stay independent of it, every exported name and every
+function the benchmark traces exists, and starting the CLI imports no
+heavy standard-library module it does not use."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +81,18 @@ def test_perfbench_hooks_resolve():
         attr = ast.literal_eval(hook.elts[1])
         assert module.startswith("k3pi1."), module
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # `python -S` leaves out site and the .pth files that may import
+    # typing themselves; what is left is the import cost of the package
+    # and its standard-library dependencies on every CLI start
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import k3pi1.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
