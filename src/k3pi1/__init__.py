@@ -61,7 +61,6 @@ from .surface import (
     Verdict,
     analyze,
     orbifold_euler_number,
-    rank_gate,
     trichotomy_sweep,
 )
 

@@ -61,7 +61,7 @@ from .orbifold import (
     orbifold_euler_characteristic,
 )
 from .pi1 import MonodromyRep, coinvariant_quotient, validate_representation
-from .surface import NormalK3Input, _frac_str, analyze, trichotomy_sweep
+from .surface import RANK_GATE_BOUND, NormalK3Input, _frac_str, analyze, trichotomy_sweep
 
 __all__ = ["main", "entry", "InputError", "load_config"]
 
@@ -252,8 +252,8 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
             )
         lines.append(f"cone orders: {list(report.cone_orders)}")
         lines.append(f"classification: {_class_name(report.classification)}")
-    gate = "passes" if report.gate.passes else "fails"
-    lines.append(f"rank gate (r <= 15): {gate}")
+    gate = "passes" if report.rank_gate_passes else "fails"
+    lines.append(f"rank gate (r <= {RANK_GATE_BOUND}): {gate}")
     if report.monodromy_quotient is not None:
         note = "" if report.monodromy_quotient_trivial else " (expected trivial)"
         lines.append(f"monodromy quotient: {report.monodromy_quotient}{note}")

@@ -44,7 +44,6 @@ __all__ = [
     "FiberData",
     "Decoration",
     "DecorationSummary",
-    "FibrationSummary",
     "DecorationOutcome",
     "DecorationError",
     "UnknownComponent",
@@ -248,10 +247,6 @@ class Decoration(namedtuple("Decoration", "fiber removed")):
     def __new__(cls, fiber: KodairaType, removed: frozenset[str] = frozenset()) -> "Decoration":
         return tuple.__new__(cls, (fiber, frozenset(removed)))
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.removed
-
 
 class DecorationSummary(namedtuple("DecorationSummary", "decoration m removed_config")):
     """A validated decoration with its kept gcd m and removed ADE config."""
@@ -302,32 +297,13 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig(tuple(types)))
 
 
-class FibrationSummary(namedtuple("FibrationSummary", "summaries config euler_total")):
-    """Aggregate of a validated list of decorated fibers: their
-    summaries, the sum of the removed configs, and the Euler total."""
-
-    __slots__ = ()
-
-    @property
-    def r(self) -> int:
-        return self.config.rank
-
-    @property
-    def cone_multiplicities(self) -> tuple[int, ...]:
-        """m_j of the decorated (nonempty removed set) fibers, input order."""
-        return tuple(s.m for s in self.summaries if not s.decoration.is_trivial)
-
-
-def validate_k3_fibration(fibers: Sequence[Decoration]) -> FibrationSummary:
+def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationSummary, ...]:
     """Validate decorations and require the fiber Euler numbers to sum to 24."""
     summaries = tuple(validate_decoration(d) for d in fibers)
     total = sum(s.decoration.fiber.euler for s in summaries)
     if total != K3_EULER_NUMBER:
         raise EulerSumMismatch(total)
-    config = AdeConfig()
-    for s in summaries:
-        config = config + s.removed_config
-    return FibrationSummary(summaries=summaries, config=config, euler_total=total)
+    return summaries
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
 
-from .kodaira import KodairaType, Mat2
+from .kodaira import KodairaType, Mat2, _monodromy
 from .lattice import smith_normal_form
 
 __all__ = [
@@ -140,26 +140,6 @@ def kodaira_class_of(t: Mat2) -> MonodromyClass:
     return MonodromyClass.ORDER_THREE
 
 
-def expected_class(fiber: KodairaType) -> MonodromyClass:
-    """The bucket a monodromy matrix of the given fiber type must hit."""
-    if fiber.base == "I":
-        return MonodromyClass.UNIPOTENT
-    if fiber.base == "I*":
-        return (
-            MonodromyClass.MINUS_IDENTITY
-            if fiber.n == 0
-            else MonodromyClass.MINUS_UNIPOTENT
-        )
-    return {
-        "II": MonodromyClass.ORDER_SIX,
-        "II*": MonodromyClass.ORDER_SIX,
-        "III": MonodromyClass.ORDER_FOUR,
-        "III*": MonodromyClass.ORDER_FOUR,
-        "IV": MonodromyClass.ORDER_THREE,
-        "IV*": MonodromyClass.ORDER_THREE,
-    }[fiber.base]
-
-
 class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
     """An ordered tuple of 2x2 integer matrices, optionally annotated
     with the Kodaira type each entry is supposed to represent."""
@@ -198,7 +178,7 @@ def validate_representation(rep: MonodromyRep) -> tuple[MonodromyClass, ...]:
         raise ProductNotIdentity(product)
     classes = tuple(kodaira_class_of(t) for t in rep.matrices)
     for idx, (cls, declared) in enumerate(zip(classes, rep.declared)):
-        if declared is not None and cls is not expected_class(declared):
+        if declared is not None and cls is not kodaira_class_of(_monodromy(declared)):
             raise ClassMismatch(idx, declared, cls)
     return classes
 

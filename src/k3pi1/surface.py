@@ -36,8 +36,6 @@ from math import comb, lcm, prod
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
     Decoration,
-    DecorationSummary,
-    FibrationSummary,
     K3_EULER_NUMBER,
     KodairaType,
     _outcome_counts,
@@ -52,18 +50,16 @@ from .orbifold import (
     OrbifoldSignature,
     classify,
 )
-from .pi1 import AbelianGroup, MonodromyRep, coinvariant_quotient, validate_representation
+from .pi1 import MonodromyRep, coinvariant_quotient, validate_representation
 
 __all__ = [
     "RANK_GATE_BOUND",
-    "RankGate",
     "NormalK3Input",
     "Verdict",
     "Report",
     "SweepInstance",
     "SweepResult",
     "orbifold_euler_number",
-    "rank_gate",
     "analyze",
     "trichotomy_sweep",
 ]
@@ -87,29 +83,6 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
     den = lcm(*(p.denominator for p in parts))
     lost = sum(p.numerator * (den // p.denominator) for p in parts)
     return Fraction(K3_EULER_NUMBER * den - lost, den)
-
-
-class RankGate(namedtuple("RankGate", "r passes")):
-    """r <= 15 guarantees a finite fundamental group of the smooth locus."""
-
-    __slots__ = ()
-
-
-def rank_gate(c: AdeConfig) -> RankGate:
-    """Evaluate the rank bound; when it passes, the orbifold Euler
-    number must come out >= 3/2 (minimum at fifteen A_1 points), which
-    is asserted as an internal consistency check."""
-    return _rank_gate(c.rank, orbifold_euler_number(c))
-
-
-def _rank_gate(r: int, e_orb: Fraction) -> RankGate:
-    """The rank gate for rank r, given the orbifold Euler number."""
-    passes = r <= RANK_GATE_BOUND
-    if passes and e_orb < Fraction(3, 2):
-        raise AssertionError(
-            f"rank {r} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
-        )
-    return RankGate(r=r, passes=passes)
 
 
 class NormalK3Input(namedtuple("NormalK3Input", "singularities fibers monodromy")):
@@ -144,14 +117,15 @@ class NormalK3Input(namedtuple("NormalK3Input", "singularities fibers monodromy"
         return cls(fibers=tuple(decorations), monodromy=monodromy)
 
 
-class Verdict(
-    namedtuple(
-        "Verdict",
-        "kind orbifold_order cone_orders abelian_quotient",
-        defaults=(None, None, None),
-    )
-):
+class Verdict(namedtuple("Verdict", "kind")):
     __slots__ = ()
+
+
+_VERDICT_OF_CLASS = {
+    SPHERICAL_OR_BAD: FINITE_FUNDAMENTAL_GROUP,
+    EUCLIDEAN: TORUS_COVER,
+    HYPERBOLIC: UNREALIZABLE_HYPERBOLIC,
+}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -161,18 +135,46 @@ def _frac_str(x: Fraction) -> str:
 class Report(
     namedtuple(
         "Report",
-        "kind config r e_orb gate fibers cone_orders classification verdict"
-        " rank_gate_consistent euclidean_euler_zero monodromy_quotient"
-        " monodromy_quotient_trivial",
-        defaults=(None,) * 8,
+        "kind config e_orb fibers cone_orders classification verdict monodromy_quotient",
+        defaults=(None,) * 5,
     )
 ):
     """Everything the pipeline derives from one input.  The fields after
-    `gate` default to None, which marks what does not apply to the input
+    `e_orb` default to None, which marks what does not apply to the input
     (the fiber data of bare input) or was not computed (the monodromy
-    quotient without a representation)."""
+    quotient without a representation).  The rank, the rank gate and the
+    consistency checks are derived from the fields."""
 
     __slots__ = ()
+
+    @property
+    def r(self) -> int:
+        return self.config.rank
+
+    @property
+    def rank_gate_passes(self) -> bool:
+        """r <= 15 guarantees a finite fundamental group of the smooth locus."""
+        return self.r <= RANK_GATE_BOUND
+
+    @property
+    def rank_gate_consistent(self) -> bool | None:
+        """For fibered input: a passed rank gate came with a finite verdict."""
+        if self.classification is None:
+            return None
+        return not self.rank_gate_passes or self.verdict.kind == FINITE_FUNDAMENTAL_GROUP
+
+    @property
+    def euclidean_euler_zero(self) -> bool | None:
+        """For a euclidean base orbifold: the orbifold Euler number is zero."""
+        if self.classification is None or self.classification.kind != EUCLIDEAN:
+            return None
+        return self.e_orb == 0
+
+    @property
+    def monodromy_quotient_trivial(self) -> bool | None:
+        if self.monodromy_quotient is None:
+            return None
+        return self.monodromy_quotient.is_trivial
 
     def to_json_dict(self) -> dict:
         fibers = None
@@ -196,7 +198,7 @@ class Report(
             "classification": self.classification.kind if self.classification else None,
             "orbifold_order": self.classification.order if self.classification else None,
             "verdict": self.verdict.kind if self.verdict else None,
-            "rank_gate": {"r": self.gate.r, "passes": self.gate.passes},
+            "rank_gate": {"r": self.r, "passes": self.rank_gate_passes},
             "rank_gate_consistent": self.rank_gate_consistent,
             "euclidean_euler_zero": self.euclidean_euler_zero,
             "monodromy_quotient": (
@@ -212,83 +214,56 @@ class Report(
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _analyze_bare(config: AdeConfig) -> Report:
-    e_orb = orbifold_euler_number(config)
-    gate = _rank_gate(config.rank, e_orb)
-    verdict = None
-    if gate.passes:
-        verdict = Verdict(FINITE_FUNDAMENTAL_GROUP)
-    elif e_orb == 0:
-        # covered-by-a-torus criterion: orbifold Euler number zero
-        verdict = Verdict(TORUS_COVER)
-    return Report(
-        kind="bare",
-        config=config,
-        r=gate.r,
-        e_orb=e_orb,
-        gate=gate,
-        verdict=verdict,
-    )
-
-
-def _analyze_fibered(input_: NormalK3Input) -> Report:
-    summary: FibrationSummary = validate_k3_fibration(input_.fibers)
-    config = summary.config
-    e_orb = orbifold_euler_number(config)
-    gate = _rank_gate(config.rank, e_orb)
-    signature = OrbifoldSignature(summary.cone_multiplicities)
-    cls = classify(signature)
-
-    quotient = None
-    quotient_trivial = None
-    if input_.monodromy is not None:
-        rep = input_.monodromy
-        if len(rep) != len(input_.fibers):
-            raise ValueError(
-                f"monodromy has {len(rep)} matrices for {len(input_.fibers)} fibers"
-            )
-        validate_representation(rep)
-        if cls.kind == SPHERICAL_OR_BAD and cls.order == 1:
-            quotient = coinvariant_quotient(rep)
-            quotient_trivial = quotient.is_trivial
-
-    if cls.kind == SPHERICAL_OR_BAD:
-        verdict = Verdict(
-            FINITE_FUNDAMENTAL_GROUP,
-            orbifold_order=cls.order,
-            cone_orders=signature.cone_orders,
-            abelian_quotient=quotient,
-        )
-    elif cls.kind == EUCLIDEAN:
-        verdict = Verdict(TORUS_COVER, cone_orders=signature.cone_orders)
-    else:
-        verdict = Verdict(UNREALIZABLE_HYPERBOLIC, cone_orders=signature.cone_orders)
-
-    rank_gate_consistent = (not gate.passes) or verdict.kind == FINITE_FUNDAMENTAL_GROUP
-    euclidean_euler_zero = (e_orb == 0) if cls.kind == EUCLIDEAN else None
-
-    return Report(
-        kind="fibered",
-        config=config,
-        r=gate.r,
-        e_orb=e_orb,
-        gate=gate,
-        fibers=summary.summaries,
-        cone_orders=signature.cone_orders,
-        classification=cls,
-        verdict=verdict,
-        rank_gate_consistent=rank_gate_consistent,
-        euclidean_euler_zero=euclidean_euler_zero,
-        monodromy_quotient=quotient,
-        monodromy_quotient_trivial=quotient_trivial,
-    )
-
-
 def analyze(input_: NormalK3Input) -> Report:
-    """Run the full pipeline on one input; deterministic."""
-    if input_.singularities is not None:
-        return _analyze_bare(input_.singularities)
-    return _analyze_fibered(input_)
+    """Run the full pipeline on one input; deterministic.
+
+    Fibered input is validated first, and its singularities are the
+    removed configurations of the fibers.  When the rank gate passes,
+    the orbifold Euler number must come out >= 3/2 (minimum at fifteen
+    A_1 points), which is asserted as an internal consistency check.
+    Bare input is decided by the rank gate or by e_orb = 0 (a torus
+    cover), and may stay undecided.  Fibered input is decided by the
+    classification of its base orbifold; a monodromy representation is
+    validated, and its quotient computed when the base orbifold is
+    simply connected.
+    """
+    fibers = cone_orders = cls = quotient = None
+    if input_.fibers is None:
+        kind, config = "bare", input_.singularities
+    else:
+        kind, fibers = "fibered", validate_k3_fibration(input_.fibers)
+        config = AdeConfig(p for f in fibers for p in f.removed_config.entries)
+    e_orb = orbifold_euler_number(config)
+    passes = config.rank <= RANK_GATE_BOUND
+    if passes and e_orb < Fraction(3, 2):
+        raise AssertionError(
+            f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
+        )
+
+    if fibers is None:
+        verdict = FINITE_FUNDAMENTAL_GROUP if passes else TORUS_COVER if e_orb == 0 else None
+    else:
+        signature = OrbifoldSignature(f.m for f in fibers)
+        cone_orders, cls = signature.cone_orders, classify(signature)
+        rep = input_.monodromy
+        if rep is not None:
+            if len(rep) != len(fibers):
+                raise ValueError(f"monodromy has {len(rep)} matrices for {len(fibers)} fibers")
+            validate_representation(rep)
+            if cls.kind == SPHERICAL_OR_BAD and cls.order == 1:
+                quotient = coinvariant_quotient(rep)
+        verdict = _VERDICT_OF_CLASS[cls.kind]
+
+    return Report(
+        kind=kind,
+        config=config,
+        e_orb=e_orb,
+        fibers=fibers,
+        cone_orders=cone_orders,
+        classification=cls,
+        verdict=Verdict(verdict) if verdict else None,
+        monodromy_quotient=quotient,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +331,9 @@ def trichotomy_sweep(
     The m >= 2 outcomes (all from starred fibers) fall into groups by
     (Euler number, m), and the walk goes over multisets of groups: c
     picks from a group of k outcomes stand for C(k + c - 1, c) cone
-    parts, each classified once per group multiset.  Spherical group
-    multisets are counted with their completions.  Euclidean and
-    hyperbolic ones, few (4 at budget 24, 242 at 30), are expanded into
+    parts, each classified once per group multiset.  Every group
+    multiset is counted with its completions.  Euclidean and hyperbolic
+    ones, few (4 at budget 24, 242 at 30), are also expanded into
     their cone parts from the outcome tables of the fiber types
     involved, and each cone part into its m = 1 completions; every full
     instance is checked against r >= 16, orbifold Euler number zero, and
@@ -395,7 +370,6 @@ def trichotomy_sweep(
     completions_within = list(accumulate(ways))
 
     counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
-    total = 0
 
     @cache
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
@@ -419,10 +393,8 @@ def trichotomy_sweep(
     for part, left in _multisets(groups, [e for e, _ in groups], euler_sum):
         cones = tuple(sorted(m for (_, m), c in part for _ in range(c)))
         kind = classify_cones(cones).kind
+        counts[kind] += prod(comb(sizes[g] + c - 1, c) for g, c in part) * completions_within[left]
         if kind == SPHERICAL_OR_BAD:
-            classes = prod(comb(sizes[g] + c - 1, c) for g, c in part) * completions_within[left]
-            total += classes
-            counts[kind] += classes
             continue
         picks = []  # per group, every choice of c of its outcomes
         for g, c in part:
@@ -448,8 +420,6 @@ def trichotomy_sweep(
     flat_eulers = [o.fiber.euler for o in flat_items]
     for _, cone_part, cones, kind, left in expanded:
         for flat_part, _ in _multisets(flat_items, flat_eulers, left):
-            total += 1
-            counts[kind] += 1
             chosen = cone_part + flat_part
             config = AdeConfig(tuple(p for o, n in chosen for p in o.config.entries * n))
             r = config.rank
@@ -479,7 +449,7 @@ def trichotomy_sweep(
                 )
 
     return SweepResult(
-        total=total,
+        total=sum(counts.values()),
         counts=counts,
         euclidean=euclidean,
         hyperbolic=hyperbolic,

@@ -193,16 +193,16 @@ def test_all_proper_removed_sets_classify(per_type_limit=10):
 
 def test_validate_k3_fibration_accepts():
     kummer = [Decoration(I("I*0"), {"t1", "t2", "t3", "t4"})] * 4
-    summary = validate_k3_fibration(kummer)
-    assert summary.euler_total == 24
-    assert summary.r == 16
-    assert summary.cone_multiplicities == (2, 2, 2, 2)
-    assert summary.config == AdeConfig.from_labels(["A1"] * 16)
+    summaries = validate_k3_fibration(kummer)
+    assert summaries == (validate_decoration(kummer[0]),) * 4
+    assert [s.decoration for s in summaries] == kummer
+    assert [s.m for s in summaries] == [2, 2, 2, 2]
+    assert [s.removed_config for s in summaries] == [AdeConfig.from_labels(["A1"] * 4)] * 4
 
     nodal = [Decoration(I("I1"))] * 24
-    summary = validate_k3_fibration(nodal)
-    assert summary.r == 0
-    assert summary.cone_multiplicities == ()
+    summaries = validate_k3_fibration(nodal)
+    assert [s.decoration for s in summaries] == nodal
+    assert [(s.m, s.removed_config) for s in summaries] == [(1, AdeConfig())] * 24
 
 
 def test_validate_k3_fibration_rejects_bad_euler_sum():

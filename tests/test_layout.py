@@ -96,3 +96,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= 3000, lines

@@ -15,7 +15,6 @@ from k3pi1.pi1 import (
     MonodromyRep,
     ProductNotIdentity,
     coinvariant_quotient,
-    expected_class,
     kodaira_class_of,
     mat_mul2,
     validate_representation,
@@ -44,7 +43,7 @@ def test_validate_rejects_bad_determinant():
     assert exc.value.index == 0
 
 
-def test_validate_declared_classes():
+def test_validate_declared_classes(monkeypatch):
     rep = MonodromyRep(
         (MINUS_IDENTITY, MINUS_IDENTITY),
         (KodairaType.parse("I*0"), KodairaType.parse("I*0")),
@@ -57,6 +56,21 @@ def test_validate_declared_classes():
     with pytest.raises(ClassMismatch) as exc:
         validate_representation(bad)
     assert exc.value.index == 0
+
+    # a huge declared index is checked without building its fiber table
+    def no_table(t):
+        raise AssertionError(f"built the fiber table of {t.label}")
+
+    monkeypatch.setattr("k3pi1.kodaira._build_fiber", no_table)
+    huge_i, huge_istar = KodairaType("I", 10**12), KodairaType("I*", 10**12)
+    validate_representation(MonodromyRep((A, ((1, -1), (0, 1))), (huge_i, huge_i)))
+    minus = (((-1, -1), (0, -1)), ((-1, 1), (0, -1)))
+    validate_representation(MonodromyRep(minus, (huge_istar, huge_istar)))
+    with pytest.raises(ClassMismatch) as exc:
+        validate_representation(MonodromyRep(minus, (None, huge_i)))
+    assert str(exc.value) == (
+        "matrix 1 declared I1000000000000 but its trace/order class is I*_n"
+    )
 
 
 def test_kodaira_class_of_examples():
@@ -76,11 +90,22 @@ def test_order_four_matrix_squares_to_minus_identity():
 
 
 def test_canonical_fiber_matrices_hit_their_buckets():
-    labels = ["I1", "I5", "II", "III", "IV", "I*0", "I*3", "IV*", "III*", "II*"]
-    for label in labels:
+    # the trace/order bucket of each Kodaira type, from Kodaira's table
+    buckets = {
+        "I1": MonodromyClass.UNIPOTENT,
+        "I5": MonodromyClass.UNIPOTENT,
+        "II": MonodromyClass.ORDER_SIX,
+        "III": MonodromyClass.ORDER_FOUR,
+        "IV": MonodromyClass.ORDER_THREE,
+        "I*0": MonodromyClass.MINUS_IDENTITY,
+        "I*3": MonodromyClass.MINUS_UNIPOTENT,
+        "IV*": MonodromyClass.ORDER_THREE,
+        "III*": MonodromyClass.ORDER_FOUR,
+        "II*": MonodromyClass.ORDER_SIX,
+    }
+    for label, bucket in buckets.items():
         t = KodairaType.parse(label)
-        cls = kodaira_class_of(fiber_data(t).monodromy)
-        assert cls is expected_class(t), label
+        assert kodaira_class_of(fiber_data(t).monodromy) is bucket, label
 
 
 def test_quotient_identity_matrix_kills_nothing():

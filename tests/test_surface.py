@@ -15,7 +15,6 @@ from k3pi1.surface import (
     NormalK3Input,
     analyze,
     orbifold_euler_number,
-    rank_gate,
     trichotomy_sweep,
 )
 
@@ -58,13 +57,31 @@ def test_orbifold_euler_number_examples():
 
 
 def test_rank_gate():
-    g = rank_gate(AdeConfig.from_labels(["A1"] * 15))
-    assert (g.r, g.passes) == (15, True)
+    def gate(labels):
+        report = analyze(NormalK3Input.bare(AdeConfig.from_labels(labels)))
+        return report.r, report.rank_gate_passes
+
+    assert gate(["A1"] * 15) == (15, True)
     assert orbifold_euler_number(AdeConfig.from_labels(["A1"] * 15)) == Fraction(3, 2)
-    g = rank_gate(AdeConfig.from_labels(["A1"] * 16))
-    assert (g.r, g.passes) == (16, False)
-    g = rank_gate(AdeConfig())
-    assert (g.r, g.passes) == (0, True)
+    assert gate(["A1"] * 16) == (16, False)
+    assert gate([]) == (0, True)
+
+
+@pytest.mark.parametrize("input_", [
+    NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 15)),
+    NormalK3Input.fibered(KUMMER),
+    NormalK3Input.fibered([Decoration(K("I*0"))] * 4, MonodromyRep((MINUS_IDENTITY,) * 4)),
+], ids=["bare", "fibered", "monodromy"])
+def test_analyze_computes_the_euler_number_once(monkeypatch, input_):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return orbifold_euler_number(config)
+
+    monkeypatch.setattr("k3pi1.surface.orbifold_euler_number", counted)
+    report = analyze(input_)
+    assert calls == [report.config]
 
 
 def test_low_rank_sweep_minimum_three_halves():
@@ -92,7 +109,7 @@ def test_analyze_kummer():
     assert report.classification.kind == "euclidean"
     assert report.e_orb == 0
     assert report.verdict.kind == TORUS_COVER
-    assert report.gate.passes is False
+    assert report.rank_gate_passes is False
     assert report.euclidean_euler_zero is True
     assert report.rank_gate_consistent is True
 
@@ -113,7 +130,6 @@ def test_analyze_532():
     assert report.e_orb == Fraction(2, 5)
     assert report.classification.order == 60
     assert report.verdict.kind == FINITE_FUNDAMENTAL_GROUP
-    assert report.verdict.orbifold_order == 60
     assert report.config == AdeConfig.from_labels(
         ["A4"] * 2 + ["A2"] * 3 + ["A1"] * 4
     )

@@ -13,7 +13,6 @@ from k3pi1.kodaira import (
     DecorationOutcome,
     DecorationSummary,
     FiberData,
-    FibrationSummary,
     KodairaType,
 )
 from k3pi1.lattice import IntegerGram, MeyerReport, SnfResult
@@ -21,7 +20,6 @@ from k3pi1.orbifold import OrbifoldClass, OrbifoldSignature
 from k3pi1.pi1 import AbelianGroup, MonodromyRep
 from k3pi1.surface import (
     NormalK3Input,
-    RankGate,
     Report,
     SweepInstance,
     SweepResult,
@@ -34,7 +32,6 @@ CONFIG = AdeConfig((A1, D4))
 DEC = Decoration(I0S, frozenset({"t1"}))
 SUMMARY = DecorationSummary(DEC, 1, AdeConfig((A1,)))
 T, T_INV = ((1, 1), (0, 1)), ((1, -1), (0, 1))
-GATE = RankGate(16, False)
 QUOTIENT = AbelianGroup((2,))
 
 # every field of each type, in order, with values that are already in
@@ -47,7 +44,6 @@ FIELDS = [
                  "dual_graph": (("c0", "c1", 2),), "monodromy": ((1, 2), (0, 1)), "euler": 2}),
     (Decoration, {"fiber": I0S, "removed": frozenset({"t1"})}),
     (DecorationSummary, {"decoration": DEC, "m": 1, "removed_config": AdeConfig((A1,))}),
-    (FibrationSummary, {"summaries": (SUMMARY,), "config": AdeConfig((A1,)), "euler_total": 6}),
     (DecorationOutcome, {"fiber": I0S, "m": 1, "config": AdeConfig((A1,)),
                          "removed": frozenset({"t1"})}),
     (IntegerGram, {"rows": ((2, -1), (-1, 2))}),
@@ -57,16 +53,12 @@ FIELDS = [
     (OrbifoldClass, {"kind": "spherical_or_bad", "order": 12}),
     (MonodromyRep, {"matrices": (T, T_INV), "declared": (I2, None)}),
     (AbelianGroup, {"invariant_factors": (2, 4, 0)}),
-    (RankGate, {"r": 16, "passes": False}),
     (NormalK3Input, {"singularities": None, "fibers": (DEC,), "monodromy": None}),
-    (Verdict, {"kind": "FiniteFundamentalGroup", "orbifold_order": 1, "cone_orders": (),
-               "abelian_quotient": QUOTIENT}),
-    (Report, {"kind": "fibered", "config": CONFIG, "r": 5, "e_orb": Fraction(35, 8),
-              "gate": RankGate(5, True), "fibers": (SUMMARY,), "cone_orders": (2,),
+    (Verdict, {"kind": "FiniteFundamentalGroup"}),
+    (Report, {"kind": "fibered", "config": CONFIG, "e_orb": Fraction(35, 8),
+              "fibers": (SUMMARY,), "cone_orders": (2,),
               "classification": OrbifoldClass("spherical_or_bad", 2),
-              "verdict": Verdict("FiniteFundamentalGroup", 2, (2,)),
-              "rank_gate_consistent": True, "euclidean_euler_zero": None,
-              "monodromy_quotient": QUOTIENT, "monodromy_quotient_trivial": False}),
+              "verdict": Verdict("FiniteFundamentalGroup"), "monodromy_quotient": QUOTIENT}),
     (SweepInstance, {"outcomes": (("I*0", 2, ("D4",), 4),), "cone_orders": (2, 2, 2, 2),
                      "classification": "euclidean", "r": 16, "e_orb": Fraction(0)}),
     (SweepResult, {"total": 3, "counts": {"euclidean": 1}, "euclidean": [], "hyperbolic": [],
@@ -84,13 +76,9 @@ DEFAULTS = [
     (AbelianGroup(), {"invariant_factors": ()}),
     (NormalK3Input(singularities=CONFIG),
      {"singularities": CONFIG, "fibers": None, "monodromy": None}),
-    (Verdict("TorusCover"),
-     {"kind": "TorusCover", "orbifold_order": None, "cone_orders": None, "abelian_quotient": None}),
-    (Report("bare", CONFIG, 5, Fraction(35, 8), GATE),
-     {"kind": "bare", "config": CONFIG, "r": 5, "e_orb": Fraction(35, 8), "gate": GATE,
-      "fibers": None, "cone_orders": None, "classification": None, "verdict": None,
-      "rank_gate_consistent": None, "euclidean_euler_zero": None, "monodromy_quotient": None,
-      "monodromy_quotient_trivial": None}),
+    (Report("bare", CONFIG, Fraction(35, 8)),
+     {"kind": "bare", "config": CONFIG, "e_orb": Fraction(35, 8), "fibers": None,
+      "cone_orders": None, "classification": None, "verdict": None, "monodromy_quotient": None}),
 ]
 
 
@@ -124,7 +112,7 @@ def test_repr_text():
         "AdeConfig(entries=(DuValType(kind='A', n=1), DuValType(kind='D', n=4)))"
     )
     assert repr(Decoration(I2)) == "Decoration(fiber=KodairaType(base='I', n=2), removed=frozenset())"
-    assert repr(GATE) == "RankGate(r=16, passes=False)"
+    assert repr(Verdict("TorusCover")) == "Verdict(kind='TorusCover')"
 
 
 @pytest.mark.parametrize("obj, fields", DEFAULTS, ids=[type(o).__name__ for o, _ in DEFAULTS])
@@ -143,6 +131,23 @@ def test_fields_cannot_be_assigned(cls, fields):
     with pytest.raises(AttributeError):
         obj.extra = 1
     _assert_fields(obj, fields)
+
+
+def test_report_derives_the_rank_gate_and_the_checks():
+    derived = ("r", "rank_gate_passes", "rank_gate_consistent", "euclidean_euler_zero",
+               "monodromy_quotient_trivial")
+    torus = Report("fibered", AdeConfig((A1,) * 16), Fraction(0),
+                   classification=OrbifoldClass("euclidean"), verdict=Verdict("TorusCover"))
+    for report, values in [
+        (Report(**dict(FIELDS)[Report]), (5, True, True, None, False)),
+        (Report("bare", CONFIG, Fraction(35, 8)), (5, True, None, None, None)),
+        (torus, (16, False, True, True, None)),
+        (torus._replace(config=CONFIG, e_orb=Fraction(35, 8)), (5, True, False, False, None)),
+    ]:
+        assert tuple(getattr(report, name) for name in derived) == values, report
+        for name in derived:
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
 
 
 @pytest.mark.parametrize("make, message", [
