@@ -27,7 +27,8 @@ Configuration files are JSON with exactly one of:
      "monodromy": [[[1, 1], [0, 1]], ...]}        # optional
 
 Monodromy entries may also be objects {"matrix": ..., "declared": "I3"};
-with a fibration present, undeclared entries inherit the fiber types.
+with a fibration present, undeclared entries inherit the fiber types
+and a declared label must be its fiber's type.
 Matrix files are either a JSON array of arrays of integers or plain
 text with one whitespace-separated row per line.  Integers in JSON must
 be JSON integers; in text, ASCII digits with an optional sign.
@@ -149,6 +150,11 @@ def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -
                 raise InputError(f"{at}.declared", "label must be a string")
             with _field(f"{at}.declared"):
                 declared.append(KodairaType.parse(label))
+            if fibers is not None and idx < len(fibers) and declared[-1] != fibers[idx].fiber:
+                raise InputError(
+                    f"{at}.declared",
+                    f"{label} does not match fibration.fibers[{idx}] ({fibers[idx].fiber.label})",
+                )
         elif fibers is not None and idx < len(fibers):
             declared.append(fibers[idx].fiber)
         else:

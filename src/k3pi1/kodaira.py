@@ -35,6 +35,7 @@ import re
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 from .dynkin import AdeConfig, DuValType, NotAdeError, _multisets, recognize_ade
@@ -477,13 +478,91 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     return _build_outcomes(t, _outcome_keys(t))
 
 
+# Counting I_n and I*_n outcomes without their keys.  A removed set of
+# I_n is a multiset of arcs A_l, each costing l + 1 cycle components (the
+# arc and the kept component after it), of total cost at most n.  A
+# removed set of I*_n short of the whole chain is laid out as in
+# _istar_keys: a piece at each end, one kept chain component, and
+# interior arcs A_l at cost l + 1, all within L - 1 of the L = n + 1
+# chain components.  Against an interior arc, an end with at most one
+# removed tail holds one A piece or nothing, and saves 2 (A_l from a tail
+# and a run of l - 1); an end with both tails holds 2 A1 (run 0, saving
+# 4), A3 (run 1, saving 3) or D_k (run k - 2), and m = 2 exactly when
+# both ends do.  So an outcome is its 0 to 2 D pieces and a multiset X
+# of A pieces, and it exists iff its cheapest layout costs at most L - 1.
+
+
+def _most_saved(p: int, a1: int, a3: int) -> int:
+    """The most that the ends of an m = 1 layout without D pieces save
+    on a nonempty X of p pieces, a1 of them A1 and a3 of them A3 (p
+    capped at 3): two ends of at most one tail each, or both tails at
+    one end holding 2 A1 or A3."""
+    return max(
+        2 * min(p, 2),
+        4 + 2 * (p >= 3) if a1 >= 2 else 0,
+        3 + 2 * (p >= 2) if a3 else 0,
+    )
+
+
+@lru_cache(maxsize=None)
+def _arc_counts(size: int) -> tuple[list[int], list[int], list[int]]:
+    """For each n < size: the number of arc multisets of cost at most n
+    (the empty one included), and the numbers of I*_n outcomes with
+    m = 1 (whole-chain ones left out) and with m = 2.
+
+    One table counts the multisets X of A pieces by interior cost and
+    the capped state (pieces <= 3, A1s <= 4, A3s <= 2) that decides
+    what the ends can save; A1 and A3 are added last, while few states
+    are live.  The counts follow by cheapest layout cost, with each D_k
+    costing k - 2 >= 2.
+    """
+    top = size + 7  # the largest interior cost that a saving of 8 brings below size
+    rows = [Counter() for _ in range(top + 1)]
+    rows[0][0, 0, 0] = 1
+    for length in sorted(range(1, top), key=lambda l: l in (1, 3)):
+        for cost in range(length + 1, top + 1):
+            row = rows[cost]
+            for (p, a1, a3), k in rows[cost - length - 1].items():
+                row[min(p + 1, 3), min(a1 + (length == 1), 4), min(a3 + (length == 3), 2)] += k
+
+    # by layout cost: all X; X at m = 1 and at m = 2 without D pieces;
+    # X beside one D piece, at m = 1 and at m = 2
+    arcs, one, two, one_d, two_d = ([0] * (top + 1) for _ in range(5))
+    for cost, row in enumerate(rows):
+        for (p, a1, a3), k in row.items():
+            arcs[cost] += k
+            one_d[cost - 2 * (p > 0)] += k
+            if p:
+                one[cost - _most_saved(p, a1, a3)] += k
+            if a1 >= 4 or a3 >= 2 or (a1 >= 2 and a3):
+                two[cost - (8 if a1 >= 4 else 7 if a1 >= 2 and a3 else 6)] += k
+            if a1 >= 2 or a3:
+                two_d[cost - (4 if a1 >= 2 else 3)] += k
+    for budget in range(size):
+        for d in range(2, budget + 1):  # one D piece of cost d, or two of total cost d
+            one[budget] += one_d[budget - d]
+            two[budget] += two_d[budget - d] + (d // 2 - 1) * arcs[budget - d]
+    return tuple(list(accumulate(counts[:size])) for counts in (arcs, one, two))
+
+
 @lru_cache(maxsize=None)
 def _outcome_counts(t: KodairaType) -> Counter[int]:
     """m -> number of nontrivial outcomes of a fiber type.
 
-    I_n and I*_n are counted from their plain keys, so no outcome object
-    is built; II ... II* count their small brute-force tables.
+    I_n and I*_n are read from the cumulative counts of `_arc_counts`,
+    built once for every n below the next power of two (at least 32),
+    without building any key; `_cycle_keys` and `_istar_keys` are their
+    test oracle.  II ... II* count their small brute-force tables.
     """
     if t.base in ("I", "I*"):
-        return Counter(m for m, pieces in _outcome_keys(t) if pieces)
+        arcs, one, two = _arc_counts(1 << max(5, t.n.bit_length()))
+        if t.base == "I":
+            return +Counter({1: arcs[t.n] - 1})  # less the empty multiset
+        # the whole chain with a and b tails (not both 2) is one piece, new
+        # unless a shorter layout gives it: a lone A_k costs k - 1 (1 for
+        # A3 between two tails), a lone D_k k - 2
+        tails = [(a, b) for a in range(3) for b in range(3) if (a, b) != (2, 2)]
+        whole = {_istar_end(max(a, b), t.n + 1 + min(a, b)) for a, b in tails}
+        costs = [k - 1 - (k == 3) if kind == "A" else k - 2 for ((kind, k),) in whole]
+        return +Counter({1: one[t.n] + sum(cost > t.n for cost in costs), 2: two[t.n]})
     return Counter(o.m for o in decoration_outcomes(t) if o.config.entries)

@@ -324,8 +324,9 @@ def trichotomy_sweep(
     `euler_sum`.
 
     Only the cone orders m >= 2 decide a class, so the sweep works from
-    counts: per fiber type, the number of nontrivial outcomes of each m,
-    taken from plain outcome keys without building an outcome.  The m = 1
+    counts: per fiber type, the number of nontrivial outcomes of each m
+    (`kodaira._outcome_counts`), read for I_n and I*_n from one table of
+    arc multisets without building a key or an outcome.  The m = 1
     outcomes only fill the budget; a knapsack table built from their
     number per Euler number counts the completions within any budget.
     The m >= 2 outcomes (all from starred fibers) fall into groups by

@@ -364,6 +364,34 @@ def test_declared_monodromy_mismatch_rejected(tmp_path):
     assert "declared" in err or "class" in err
 
 
+def test_declared_label_must_be_its_fibers_type(tmp_path):
+    # an I_n fiber has unipotent monodromy, so -I declared I*0 on one is refused
+    cfg = tmp_path / "cfg.json"
+    minus_one = [[-1, 0], [0, -1]]
+    cfg.write_text(json.dumps({
+        "fibration": {"fibers": [{"kodaira": "I12"}, {"kodaira": "I12"}]},
+        "monodromy": [{"matrix": minus_one, "declared": "I*0"}] * 2,
+    }))
+    code, out, err = run_cli("analyze", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: monodromy[0].declared: I*0 does not match fibration.fibers[0] (I12)\n"
+
+    # the fiber's own type, spelled out, is accepted; a mismatch further on is named there
+    mono = [{"matrix": minus_one, "declared": "I*0"}] * 4
+    cfg.write_text(json.dumps({"fibration": {"fibers": [{"kodaira": "I*0"}] * 4}, "monodromy": mono}))
+    code, out, _ = run_cli("analyze", str(cfg), "--json")
+    assert (code, json.loads(out)["monodromy_quotient"]) == (0, [2, 2])
+    mono[2] = {"matrix": minus_one, "declared": "I*1"}
+    cfg.write_text(json.dumps({"fibration": {"fibers": [{"kodaira": "I*0"}] * 4}, "monodromy": mono}))
+    code, out, err = run_cli("analyze", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: monodromy[2].declared: I*1 does not match") and err.count("\n") == 1
+
+    # without a fibration a declared label has nothing to match
+    code, out, _ = run_cli("pi1", "quotient", str(FIXTURES / "rep_four_istar0.json"))
+    assert code == 0
+
+
 def test_config_with_monodromy_attaches_quotient(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -1,5 +1,7 @@
 """Tests for the Kodaira fiber tables and decorations."""
 
+from collections import Counter
+
 import pytest
 
 from k3pi1.dynkin import AdeConfig
@@ -225,6 +227,18 @@ def test_decoration_outcomes_match_brute_force_istar():
     for n in range(0, 9):
         t = KodairaType("I*", n)
         assert sorted(_istar_keys(n)) == sorted(_subset_keys(t)), n
+
+
+def test_outcome_counts_match_the_outcome_keys():
+    # the sweep's counts come from one arc table, never from keys; the
+    # structural keys (checked against brute force above) are the oracle
+    # for every I_n and I*_n of Euler number <= 30
+    from k3pi1.kodaira import _outcome_counts, _outcome_keys
+
+    types = [KodairaType("I", n) for n in range(1, 31)]
+    types += [KodairaType("I*", n) for n in range(0, 25)]
+    for t in types:
+        assert _outcome_counts(t) == Counter(m for m, p in _outcome_keys(t) if p), t.label
 
 
 def test_decoration_outcomes_representatives_are_valid():

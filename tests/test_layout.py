@@ -101,3 +101,18 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
     assert lines <= 3000, lines
+
+
+def test_cli_import_builds_no_count_table():
+    # the outcome counts are built on the first sweep, never at import, so
+    # a CLI start that does not sweep pays nothing for them
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import k3pi1.cli; "
+        "from k3pi1 import kodaira; "
+        "print([f.cache_info().currsize for f in (kodaira._arc_counts, kodaira._outcome_counts)])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[0, 0]", out.stdout + out.stderr

@@ -6,6 +6,7 @@ from functools import cache
 
 import pytest
 
+from k3pi1 import kodaira
 from k3pi1.dynkin import AdeConfig, enumerate_ade_configs
 from k3pi1.kodaira import Decoration, KodairaType, decoration_outcomes, fiber_data
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
@@ -293,12 +294,31 @@ def test_trichotomy_sweep_collect_limit_keeps_the_first_instances():
     assert res.hyperbolic == full.hyperbolic[:3]
 
 
-def test_cold_sweep_builds_few_outcome_tables():
-    # the sweep counts outcomes from plain keys; outcome tables are built
-    # only for the fiber types of the classes it expands (and II ... II*)
-    decoration_outcomes.cache_clear()
+def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
+    # the sweep reads I_n and I*_n outcome counts from one arc table and
+    # builds outcome tables only for the fiber types of the classes it
+    # expands (I*0 at budget 24) and for II ... II*; every cache is
+    # cleared first, so nothing comes from an earlier test
+    for cached in (decoration_outcomes, kodaira._outcome_counts, kodaira._arc_counts):
+        cached.cache_clear()
+    expanded = []
+
+    def recorded(name):
+        keys = getattr(kodaira, name)
+
+        def call(n):
+            expanded.append((name, n))
+            return keys(n)
+
+        return call
+
+    for name in ("_cycle_keys", "_istar_keys"):
+        monkeypatch.setattr(kodaira, name, recorded(name))
     res = trichotomy_sweep(24)
-    assert decoration_outcomes.cache_info().currsize <= 10
+    assert expanded == [("_istar_keys", 0)]
+    assert kodaira._arc_counts.cache_info().currsize == 1
+    assert decoration_outcomes.cache_info().currsize == 7
+    monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
 
