@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Sequence, Set as AbstractSet
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .dynkin import AdeConfig, DuValType, NotAdeError, _multisets, recognize_ade
+# recognize_ade is not used here, but perfbench/worker.py traces it as
+# kodaira.recognize_ade, so the name stays importable from this module
+from .dynkin import AdeConfig, DuValType, _multisets, recognize_ade  # noqa: F401
 
 __all__ = [
     "KodairaType",
@@ -65,6 +67,9 @@ _PLAIN_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 _LABEL_RE = re.compile(r"(I\*|I|II\*|II|III\*|III|IV\*|IV)(0|[1-9][0-9]*)?")
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+# An outcome key is (m, pieces) with pieces the sorted (kind, n) pairs of
+# the removed config: keys order exactly as (m, config entries) do.
+OutcomeKey = tuple[int, tuple[tuple[str, int], ...]]
 
 
 class DecorationError(ValueError):
@@ -177,51 +182,59 @@ def _monodromy(t: KodairaType) -> Mat2:
     }[t.base]
 
 
+# IV*, III*, II*: paths of components meeting once, in fiber order,
+# through a center of multiplicity k; along each of the three arms the
+# multiplicity falls by k / (arm length + 1) per step.
+_STARS = {
+    "IV*": ("z", 3, ("z", "a1 a2 z", "b1 b2 z", "d1 d2 z")),
+    "III*": ("c4", 4, ("c1 c2 c3 c4 c5 c6 c7", "b1 c4")),
+    "II*": ("c6", 6, ("c1 c2 c3 c4 c5 c6 c7 c8", "b1 c6")),
+}
+_CYCLES = {"II": 1, "III": 2, "IV": 3}  # c0.. as a 1-, 2- and 3-cycle
+_TAILS = ("t1", "t2", "t3", "t4")
+_du_val = lru_cache(maxsize=1024)(DuValType)  # pieces recur: build each type once
+
+
+@lru_cache(maxsize=None)
+def _star(base: str) -> tuple[str, list[list[str]], dict[str, int]]:
+    """A star fiber's center, its arms as ids outward from the center,
+    and the multiplicity of each id."""
+    center, k, paths = _STARS[base]
+    arms = []
+    for path in paths:
+        ids = path.split()
+        at = ids.index(center)
+        arms += [arm for arm in (ids[:at][::-1], ids[at + 1 :]) if arm]
+    mult = {center: k}
+    for arm in arms:
+        for depth, cid in enumerate(arm):
+            mult[cid] = k * (len(arm) - depth) // (len(arm) + 1)
+    return center, arms, mult
+
+
 def _build_fiber(t: KodairaType) -> FiberData:
     comps: list[tuple[str, int]] = []
     edges: list[tuple[str, str, int]] = []
-    if t.base == "I":
-        n = t.n
-        if n == 1:
-            comps = [("c0", 1)]
-        elif n == 2:
-            comps = [("c0", 1), ("c1", 1)]
-            edges = [("c0", "c1", 2)]
-        else:
-            comps = [(f"c{i}", 1) for i in range(n)]
-            edges = [(f"c{i}", f"c{(i + 1) % n}", 1) for i in range(n)]
-    elif t.base == "II":
-        comps = [("c0", 1)]
-    elif t.base == "III":
-        comps = [("c0", 1), ("c1", 1)]
-        edges = [("c0", "c1", 2)]
-    elif t.base == "IV":
+    n = _CYCLES.get(t.base, t.n)
+    if t.base == "IV":
         comps = [("c0", 1), ("c1", 1), ("c2", 1)]
         edges = [("c0", "c1", 1), ("c0", "c2", 1), ("c1", "c2", 1)]
+    elif t.base in ("I", "II", "III"):
+        comps = [(f"c{i}", 1) for i in range(n)]
+        if n == 2:
+            edges = [("c0", "c1", 2)]
+        elif n > 2:
+            edges = [(f"c{i}", f"c{(i + 1) % n}", 1) for i in range(n)]
     elif t.base == "I*":
-        n = t.n
-        comps = [("t1", 1), ("t2", 1), ("t3", 1), ("t4", 1)]
-        comps += [(f"c{i}", 2) for i in range(n + 1)]
+        comps = [(tail, 1) for tail in _TAILS] + [(f"c{i}", 2) for i in range(n + 1)]
         edges = [("t1", "c0", 1), ("t2", "c0", 1)]
         edges += [(f"c{i}", f"c{i + 1}", 1) for i in range(n)]
         edges += [("t3", f"c{n}", 1), ("t4", f"c{n}", 1)]
-    elif t.base == "IV*":
-        comps = [("z", 3)]
-        for arm in ("a", "b", "d"):
-            comps += [(f"{arm}1", 1), (f"{arm}2", 2)]
-            edges += [(f"{arm}1", f"{arm}2", 1), (f"{arm}2", "z", 1)]
-    elif t.base == "III*":
-        mults = [1, 2, 3, 4, 3, 2, 1]
-        comps = [(f"c{i + 1}", m) for i, m in enumerate(mults)]
-        comps.append(("b1", 2))
-        edges = [(f"c{i}", f"c{i + 1}", 1) for i in range(1, 7)]
-        edges.append(("b1", "c4", 1))
-    else:  # II*
-        mults = [1, 2, 3, 4, 5, 6, 4, 2]
-        comps = [(f"c{i + 1}", m) for i, m in enumerate(mults)]
-        comps.append(("b1", 3))
-        edges = [(f"c{i}", f"c{i + 1}", 1) for i in range(1, 8)]
-        edges.append(("b1", "c6", 1))
+    else:
+        mult = _star(t.base)[2]
+        paths = [path.split() for path in _STARS[t.base][2]]
+        comps = [(cid, mult[cid]) for cid in dict.fromkeys(c for path in paths for c in path)]
+        edges = [(u, v, 1) for path in paths for u, v in zip(path, path[1:])]
     mono = _monodromy(t)
     det = mono[0][0] * mono[1][1] - mono[0][1] * mono[1][0]
     assert det == 1, t.label
@@ -255,47 +268,104 @@ class DecorationSummary(namedtuple("DecorationSummary", "decoration m removed_co
     __slots__ = ()
 
 
+def _runs(indices: list[int]) -> list[list[int]]:
+    """The maximal runs [start, length] of consecutive indices, in order."""
+    runs: list[list[int]] = []
+    for i in sorted(indices):
+        if runs and sum(runs[-1]) == i:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1])
+    return runs
+
+
+def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
+    """The outcome key (m, pieces) of a removed set, read from its ids
+    by the fiber's shape without building the fiber's table.
+
+    Raises UnknownComponent, naming every id that is not exactly one of
+    the fiber's, and then FullSupportRemoved.  A cycle's removed
+    indices form arcs, joined across the wrap; on I*_n the end runs of
+    the chain take in the removed tails at their end (`_istar_end`); on
+    a star, the center and the removed runs x <= y <= z next to it on
+    its arms form one piece, A when x = 0, D when y = 1, E otherwise.
+    """
+    if t.base in _STARS:
+        center, arms, mult = _star(t.base)
+        unknown, size = removed.difference(mult), len(mult)
+    else:
+        length = t.n + 1 if t.base == "I*" else _CYCLES.get(t.base, t.n)
+        indices, unknown = [], []
+        for cid in removed:
+            try:  # exactly c{i}: "c01", "c+1" and non-ASCII digits are no id
+                i = int(cid[1:])
+            except (TypeError, ValueError):
+                i = -1
+            if 0 <= i < length and cid == f"c{i}":
+                indices.append(i)
+            elif t.base != "I*" or cid not in _TAILS:
+                unknown.append(cid)
+        size = length + 4 * (t.base == "I*")
+    if unknown:
+        raise UnknownComponent(f"{t.label}: unknown component(s) {sorted(unknown)}")
+    if len(removed) == size:
+        raise FullSupportRemoved(
+            f"{t.label}: the removed set must be a proper subset of the fiber"
+        )
+
+    if t.base in _STARS:
+        m = gcd(*[k for cid, k in mult.items() if cid not in removed])
+        pieces, attached = [], []
+        for arm in arms:
+            runs = _runs([depth for depth, cid in enumerate(arm, 1) if cid in removed])
+            if center in removed:
+                attached.append(runs.pop(0)[1] if runs and runs[0][0] == 1 else 0)
+            pieces += [("A", run) for _, run in runs]
+        if attached:
+            x, y, _ = sorted(attached)
+            pieces.append(("A" if x == 0 else "D" if y == 1 else "E", 1 + sum(attached)))
+        return m, tuple(sorted(pieces))
+
+    runs = _runs(indices)
+    if t.base != "I*":
+        if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == length:
+            runs[0][1] += runs.pop()[1]
+        return 1, tuple(sorted(("A", run) for _, run in runs))
+    a = ("t1" in removed) + ("t2" in removed)
+    b = ("t3" in removed) + ("t4" in removed)
+    if runs and runs[0][1] == length:  # the whole chain, with a + b < 4 tails
+        return 1, _istar_end(max(a, b), length + min(a, b))
+    p = runs.pop(0)[1] if runs and runs[0][0] == 0 else 0
+    s = runs.pop()[1] if runs and sum(runs[-1]) == length else 0
+    pieces = _istar_end(a, p) + _istar_end(b, s) + tuple(("A", run) for _, run in runs)
+    return 2 if a == b == 2 else 1, tuple(sorted(pieces))
+
+
 def validate_decoration(d: Decoration) -> DecorationSummary:
     """Check a decoration and compute (kept gcd m, removed ADE config).
 
-    The removed set must be a proper subset of the components and its
-    induced subgraph must be a disjoint union of ADE diagrams with no
-    repeated intersections.  m is the gcd of the multiplicities of the
-    kept components.  With nothing removed the decoration is valid and
-    m = 1, since every fiber type has a component of multiplicity 1
-    (the tests check this against the tables), so no table is built:
-    an undecorated fiber costs O(1) whatever its n.
+    The removed set must be a proper subset of the components; m is the
+    gcd of the multiplicities of the kept components.  Both are read
+    from the removed ids by the fiber's shape, without its component
+    table (`_removed_key`): a cycle (I_n, and II, III, IV as the 1-, 2-
+    and 3-cycle c0..), the chain and four tails of I*_n, or the center
+    and three arms of IV*, III*, II*.  A decoration of I_n or I*_n so
+    costs O(r log r) for r removed ids, whatever n is; with nothing
+    removed it is valid with m = 1, since every fiber type has a
+    component of multiplicity 1 (the tests check this against the
+    tables).
+
+    Every fiber's dual graph is an affine Dynkin diagram, and an affine
+    Dynkin diagram less any vertex is a disjoint union of finite ADE
+    diagrams, so every proper removed set is ADE: `NotAdeRemovedSet`
+    cannot be raised here, and is kept for callers that catch it.
     """
     if not d.removed:
         return DecorationSummary(decoration=d, m=1, removed_config=AdeConfig())
-    data = fiber_data(d.fiber)
-    ids = set(data.component_ids)
-    unknown = d.removed - ids
-    if unknown:
-        raise UnknownComponent(
-            f"{d.fiber.label}: unknown component(s) {sorted(unknown)}"
-        )
-    if d.removed == ids:
-        raise FullSupportRemoved(
-            f"{d.fiber.label}: the removed set must be a proper subset of the fiber"
-        )
-    kept = [m for cid, m in data.components if cid not in d.removed]
-    m = 0
-    for mult in kept:
-        m = gcd(m, mult)
-    induced = []
-    for u, v, w in data.dual_graph:
-        if u in d.removed and v in d.removed:
-            if w > 1:
-                raise NotAdeRemovedSet(
-                    f"{d.fiber.label}: components {u}, {v} meet {w} times"
-                )
-            induced.append((u, v))
-    try:
-        types = recognize_ade(sorted(d.removed), induced)
-    except NotAdeError as exc:
-        raise NotAdeRemovedSet(f"{d.fiber.label}: {exc}") from exc
-    return DecorationSummary(decoration=d, m=m, removed_config=AdeConfig(tuple(types)))
+    m, pieces = _removed_key(d.fiber, d.removed)
+    return DecorationSummary(
+        decoration=d, m=m, removed_config=AdeConfig(tuple([_du_val(*p) for p in pieces]))
+    )
 
 
 def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationSummary, ...]:
@@ -321,14 +391,9 @@ class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed"
     __slots__ = ()
 
 
-# An outcome key is (m, pieces) with pieces the sorted (kind, n) pairs
-# of the removed config: keys order exactly as (m, config entries) do.
-# Each key enumerator maps its keys to a recipe for one representative
-# removed set: the removed ids themselves for II ... II*, the arc
-# lengths for I_n, and (a, p, b, s, arcs) for I*_n.
-OutcomeKey = tuple[int, tuple[tuple[str, int], ...]]
-
-
+# Each key enumerator maps its outcome keys to a recipe for one
+# representative removed set: the removed ids themselves for II ... II*,
+# the arc lengths for I_n, and (a, p, b, s, arcs) for I*_n.
 def _removed_ids(base: str, ids: list[str], recipe) -> list[str]:
     """The removed ids a recipe stands for, given the fiber's component ids."""
     if base == "I":

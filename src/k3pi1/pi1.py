@@ -7,7 +7,7 @@ T_j runs over the local monodromy matrices.  This module validates
 such representations (determinant one, identity product, and an
 optional per-entry consistency check against a declared Kodaira type
 via the conjugation invariants trace and multiplicative order) and
-computes the quotient through the Smith normal form.
+computes the quotient from a triangular basis of the relation lattice.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
+from math import gcd
 
 from .kodaira import KodairaType, Mat2, _monodromy
-from .lattice import smith_normal_form
+# smith_normal_form is not used here, but perfbench/worker.py traces it as
+# pi1.smith_normal_form, so the name stays importable from this module
+from .lattice import smith_normal_form  # noqa: F401
 
 __all__ = [
     "Mat2",
@@ -245,6 +248,16 @@ class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
         return self.describe()
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u a + v b."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def coinvariant_quotient(
     rep: MonodromyRep, subset: Iterable[int] | None = None
 ) -> AbelianGroup:
@@ -253,28 +266,32 @@ def coinvariant_quotient(
     `subset` holds 0-based indices into the representation; None means
     all entries.  The empty subset leaves Z^2 untouched, encoded as
     invariant factors (0, 0).
+
+    The columns are folded one at a time into a basis (a, b), (0, c) of
+    the lattice they span: the extended gcd of the first coordinates
+    gives the new (a, b), and the combination with first coordinate 0
+    joins c.  The quotient is then Z/d1 x Z/d2 with d1 = gcd(a, b, c)
+    and d1 d2 = |a c|, one free factor for each zero among a, c when
+    d1 > 0, and Z^2 when the lattice is 0.
     """
     k = len(rep.matrices)
     if subset is None:
-        indices = list(range(k))
+        indices = range(k)
     else:
         indices = sorted(set(int(j) for j in subset))
         for j in indices:
             if not 0 <= j < k:
                 raise ValueError(f"subset index {j} out of range 0..{k - 1}")
-    cols: list[tuple[int, int]] = []
+    a = b = c = 0
     for j in indices:
-        t = rep.matrices[j]
-        cols.append((1 - t[0][0], -t[1][0]))
-        cols.append((-t[0][1], 1 - t[1][1]))
-    if not cols:
-        return AbelianGroup((0, 0))
-    stacked = [
-        [c[0] for c in cols],
-        [c[1] for c in cols],
-    ]
-    diag = smith_normal_form(stacked).diagonal
-    factors = [diag[i] if i < len(diag) else 0 for i in range(2)]
-    nonzero = [d for d in factors if d]
-    zeros = [0] * (2 - len(nonzero))
-    return AbelianGroup(tuple(nonzero + zeros))
+        (p, q), (r, s) = rep.matrices[j]
+        for x, y in ((1 - p, -r), (-q, 1 - s)):
+            g, u, v = _ext_gcd(a, x)
+            if g:
+                a, b, c = g, u * b + v * y, gcd(c, x // g * b - a // g * y)
+            else:
+                c = gcd(c, y)
+    d1 = gcd(a, b, c)
+    if a and c:
+        return AbelianGroup((d1, abs(a * c) // d1))
+    return AbelianGroup((d1, 0) if d1 else (0, 0))

@@ -167,16 +167,23 @@ def test_lattice_isotropic_huge_bound_in_bounded_memory(tmp_path):
 
 
 def test_huge_fibers_fail_fast_in_bounded_memory(tmp_path):
-    # an undecorated I_n is checked without its O(n) component table, and
-    # `kodaira info` refuses an index above its bound before building one
-    config = tmp_path / "huge.json"
-    config.write_text('{"fibration": {"fibers": [{"kodaira": "I", "n": 1000000000000}]}}')
-    for argv, line in (
-        (["analyze", str(config)],
-         "error: fiber Euler numbers sum to 1000000000000, a K3 surface needs 24"),
-        (["kodaira", "info", "I1000000"],
-         "error: label: I1000000: tables are printed up to n = 100000"),
-    ):
+    # an I_n or I*_n, decorated or not, is checked without its O(n)
+    # component table, and `kodaira info` refuses an index above its
+    # bound before building one
+    cases = []
+    for k, (fiber, euler) in enumerate((
+        ('{"kodaira": "I", "n": 1000000000000}', 10**12),
+        ('{"kodaira": "I", "n": 1000000000000, "removed": ["c0"]}', 10**12),
+        ('{"kodaira": "I*", "n": 1000000000000, "removed": ["t1", "c999999999999"]}',
+         10**12 + 6),
+    )):
+        config = tmp_path / f"huge{k}.json"
+        config.write_text('{"fibration": {"fibers": [%s]}}' % fiber)
+        cases.append((["analyze", str(config)],
+                      f"error: fiber Euler numbers sum to {euler}, a K3 surface needs 24"))
+    cases.append((["kodaira", "info", "I1000000"],
+                  "error: label: I1000000: tables are printed up to n = 100000"))
+    for argv, line in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "k3pi1", *argv],
             capture_output=True,

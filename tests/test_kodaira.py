@@ -1,15 +1,20 @@
 """Tests for the Kodaira fiber tables and decorations."""
 
 from collections import Counter
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3pi1.dynkin import AdeConfig
+from k3pi1.dynkin import AdeConfig, NotAdeError, recognize_ade
 from k3pi1.kodaira import (
     Decoration,
+    DecorationSummary,
     EulerSumMismatch,
     FullSupportRemoved,
     KodairaType,
+    NotAdeRemovedSet,
     UnknownComponent,
     decoration_outcomes,
     fiber_data,
@@ -20,6 +25,56 @@ from k3pi1.kodaira import (
 from oracles import mat2_power_order
 
 I = KodairaType.parse
+
+
+def _graph_decoration(d):
+    """The decoration check as a graph search over the fiber's table:
+    the oracle for `validate_decoration`, which reads the removed ids."""
+    if not d.removed:
+        return DecorationSummary(d, 1, AdeConfig())
+    data = fiber_data(d.fiber)
+    ids = set(data.component_ids)
+    unknown = d.removed - ids
+    if unknown:
+        raise UnknownComponent(f"{d.fiber.label}: unknown component(s) {sorted(unknown)}")
+    if d.removed == ids:
+        raise FullSupportRemoved(
+            f"{d.fiber.label}: the removed set must be a proper subset of the fiber"
+        )
+    m = 0
+    for cid, mult in data.components:
+        if cid not in d.removed:
+            m = gcd(m, mult)
+    induced = []
+    for u, v, w in data.dual_graph:
+        if u in d.removed and v in d.removed:
+            if w > 1:
+                raise NotAdeRemovedSet(f"{d.fiber.label}: components {u}, {v} meet {w} times")
+            induced.append((u, v))
+    try:
+        types = recognize_ade(sorted(d.removed), induced)
+    except NotAdeError as exc:
+        raise NotAdeRemovedSet(f"{d.fiber.label}: {exc}") from exc
+    return DecorationSummary(d, m, AdeConfig(tuple(types)))
+
+
+def _outcome(check, d):
+    """A summary, or the class and message of the error raised."""
+    try:
+        return check(d)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _graph_keys(t):
+    """Every outcome key of a fiber type, by the graph search over every
+    proper subset of its components."""
+    ids = fiber_data(t).component_ids
+    keys = set()
+    for mask in range(2 ** len(ids) - 1):
+        s = _graph_decoration(Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1]))
+        keys.add((s.m, tuple((e.kind, e.n) for e in s.removed_config.entries)))
+    return keys
 
 
 def _small_types(max_n=12):
@@ -178,6 +233,17 @@ def test_undecorated_huge_fiber_is_rejected_without_building_its_table():
     # decoration errors still come before the Euler sum
     with pytest.raises(UnknownComponent, match="zz"):
         validate_k3_fibration([huge, Decoration(I("I*0"), {"zz"})])
+    # so does a decorated one: its removed ids are read without the table
+    cycle = Decoration(KodairaType("I", 10**12), {"c0", "c999999999999", "c5"})
+    istar = Decoration(KodairaType("I*", 10**12), {"t1", "t2", "c0", "c1000000000000"})
+    with pytest.raises(EulerSumMismatch):
+        validate_k3_fibration([cycle, istar])
+    assert [validate_decoration(d).removed_config.labels for d in (cycle, istar)] == [
+        ("A1", "A2"), ("A1", "A3")
+    ]
+    with pytest.raises(UnknownComponent, match="c1000000000000"):
+        validate_decoration(cycle._replace(removed={"c1000000000000"}))
+    assert fiber_data.cache_info().currsize == 0
 
 
 def test_all_proper_removed_sets_classify(per_type_limit=10):
@@ -214,19 +280,52 @@ def test_validate_k3_fibration_rejects_bad_euler_sum():
 
 
 def test_decoration_outcomes_match_brute_force_cycle():
-    from k3pi1.kodaira import _cycle_keys, _subset_keys
+    from k3pi1.kodaira import _cycle_keys
 
     for n in range(1, 14):
-        t = KodairaType("I", n)
-        assert sorted(_cycle_keys(n)) == sorted(_subset_keys(t)), n
+        assert sorted(_cycle_keys(n)) == sorted(_graph_keys(KodairaType("I", n))), n
 
 
 def test_decoration_outcomes_match_brute_force_istar():
-    from k3pi1.kodaira import _istar_keys, _subset_keys
+    from k3pi1.kodaira import _istar_keys
 
     for n in range(0, 9):
-        t = KodairaType("I*", n)
-        assert sorted(_istar_keys(n)) == sorted(_subset_keys(t)), n
+        assert sorted(_istar_keys(n)) == sorted(_graph_keys(KodairaType("I*", n))), n
+
+
+def test_validate_decoration_matches_the_graph_search_on_every_subset():
+    for t in _small_types(10):
+        ids = fiber_data(t).component_ids
+        if len(ids) > 10:
+            continue
+        for mask in range(2 ** len(ids)):
+            d = Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1])
+            assert _outcome(validate_decoration, d) == _outcome(_graph_decoration, d), d
+
+
+_NEAR_MISSES = ["c01", "c-1", "c\u0663", "C1", "t0", "t5", "c+1", "c 1", "c1_0", ""]
+
+
+@st.composite
+def _removed_sets(draw):
+    base = draw(st.sampled_from(["I", "I*"]))
+    t = KodairaType(base, draw(st.integers(1, 60) if base == "I" else st.integers(0, 40)))
+    ids = list(fiber_data(t).component_ids)
+    pool = ids + _NEAR_MISSES + [f"c{t.n}", f"c{len(ids)}"]
+    if draw(st.booleans()):  # long runs, and the whole fiber less a few
+        start, size = draw(st.integers(0, len(ids) - 1)), draw(st.integers(1, len(ids)))
+        removed = set((ids + ids)[start : start + size])
+        removed -= set(draw(st.lists(st.sampled_from(ids), max_size=3)))
+        removed |= set(draw(st.lists(st.sampled_from(pool), max_size=2)))
+    else:
+        removed = set(draw(st.lists(st.sampled_from(pool), max_size=12)))
+    return Decoration(t, removed)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_removed_sets())
+def test_validate_decoration_matches_the_graph_search_on_drawn_sets(d):
+    assert _outcome(validate_decoration, d) == _outcome(_graph_decoration, d)
 
 
 def test_outcome_counts_match_the_outcome_keys():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from k3pi1.kodaira import KodairaType, fiber_data
+from k3pi1.lattice import smith_normal_form
 from k3pi1.pi1 import (
     IDENTITY,
     MINUS_IDENTITY,
@@ -20,7 +21,7 @@ from k3pi1.pi1 import (
     validate_representation,
 )
 
-from oracles import mat2_power_order
+from oracles import mat2_power_order, minors_gcd
 
 A = ((1, 1), (0, 1))
 B = ((1, 0), (-1, 1))
@@ -209,3 +210,34 @@ def _random_rep(rng, k):
     inv = ((prod[1][1], -prod[0][1]), (-prod[1][0], prod[0][0]))
     mats.append(inv)
     return tuple(mats)
+
+
+def test_quotient_matches_smith_form_and_minor_gcds():
+    # the triangular fold against the Smith normal form of the 2 x 2k
+    # relation matrix and against its minor gcds: d1 is the gcd of the
+    # entries and d1 d2 the gcd of the 2 x 2 minors
+    rng = random.Random(1313)
+    for trial in range(600):
+        k, bound = rng.randint(0, 12), rng.choice([1, 3, 100, 10**6])
+        rank = trial % 3
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        mats = []
+        for _ in range(k):
+            if rank == 0:
+                mats.append(IDENTITY)
+            elif rank == 1:  # every column of I - T on the line through (x, y)
+                s, t = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                mats.append(((1 - x * s, -x * t), (-y * s, 1 - y * t)))
+            else:
+                mats.append(tuple(tuple(rng.randint(-bound, bound) for _ in "ab") for _ in "ab"))
+        rows = [[], []]
+        for (p, q), (r, s) in mats:
+            rows[0] += [1 - p, -q]
+            rows[1] += [-r, 1 - s]
+        group = coinvariant_quotient(MonodromyRep(mats))
+        diag = smith_normal_form(rows).diagonal if k else ()
+        assert group == AbelianGroup(tuple(sorted(diag, key=lambda d: d == 0)) + (0,) * (2 - len(diag)))
+        d1 = minors_gcd(rows, 1) if k else 0
+        d12 = minors_gcd(rows, 2) if k else 0
+        expected = (d1, d12 // d1) if d12 else (d1, 0) if d1 else (0, 0)
+        assert group == AbelianGroup(expected), mats
