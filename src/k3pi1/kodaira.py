@@ -88,10 +88,18 @@ class NotAdeRemovedSet(DecorationError):
     pass
 
 
+def _int_text(x: int) -> str:
+    """str(x), or its bit length where str() passes Python's int-to-str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit integer>"
+
+
 class EulerSumMismatch(DecorationError):
     def __init__(self, actual: int):
         super().__init__(
-            f"fiber Euler numbers sum to {actual}, a K3 surface needs {K3_EULER_NUMBER}"
+            f"fiber Euler numbers sum to {_int_text(actual)}, a K3 surface needs {K3_EULER_NUMBER}"
         )
         self.actual = actual
 
@@ -193,6 +201,7 @@ _STARS = {
 _CYCLES = {"II": 1, "III": 2, "IV": 3}  # c0.. as a 1-, 2- and 3-cycle
 _TAILS = ("t1", "t2", "t3", "t4")
 _du_val = lru_cache(maxsize=1024)(DuValType)  # pieces recur: build each type once
+_NO_CONFIG = AdeConfig()  # shared by every undecorated fiber
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +370,7 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     cannot be raised here, and is kept for callers that catch it.
     """
     if not d.removed:
-        return DecorationSummary(decoration=d, m=1, removed_config=AdeConfig())
+        return DecorationSummary(decoration=d, m=1, removed_config=_NO_CONFIG)
     m, pieces = _removed_key(d.fiber, d.removed)
     return DecorationSummary(
         decoration=d, m=m, removed_config=AdeConfig(tuple([_du_val(*p) for p in pieces]))

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from math import gcd
 
-from .kodaira import KodairaType, Mat2, _monodromy
+from .kodaira import KodairaType, Mat2, _int_text, _monodromy
 # smith_normal_form is not used here, but perfbench/worker.py traces it as
 # pi1.smith_normal_form, so the name stays importable from this module
 from .lattice import smith_normal_form  # noqa: F401
@@ -65,27 +65,20 @@ def mat_mul2(a: Mat2, b: Mat2) -> Mat2:
     )
 
 
-def mat_det2(a: Mat2) -> int:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def mat_trace2(a: Mat2) -> int:
-    return a[0][0] + a[1][1]
-
-
 class RepresentationError(ValueError):
     pass
 
 
 class DetNotOne(RepresentationError):
     def __init__(self, index: int, det: int):
-        super().__init__(f"matrix {index} has determinant {det}, expected 1")
+        super().__init__(f"matrix {index} has determinant {_int_text(det)}, expected 1")
         self.index = index
 
 
 class ProductNotIdentity(RepresentationError):
     def __init__(self, product: Mat2):
-        super().__init__(f"ordered product is {product}, expected the identity")
+        (p, q), (r, s) = (map(_int_text, row) for row in product)
+        super().__init__(f"ordered product is (({p}, {q}), ({r}, {s})), expected the identity")
         self.product = product
 
 
@@ -119,13 +112,9 @@ class MonodromyClass(Enum):
     UNRECOGNIZED = "unrecognized"
 
 
-def kodaira_class_of(t: Mat2) -> MonodromyClass:
-    """Trace/order class bucket of a determinant-one integer matrix."""
-    t = as_mat2(t)
-    det = mat_det2(t)
-    if det != 1:
-        raise ValueError(f"matrix has determinant {det}, expected 1")
-    tr = mat_trace2(t)
+def _class_of(t: Mat2) -> MonodromyClass:
+    """Trace/order class bucket of a normalised determinant-one matrix."""
+    tr = t[0][0] + t[1][1]
     if tr > 2 or tr < -2:
         return MonodromyClass.UNRECOGNIZED
     if tr == 2:
@@ -141,6 +130,15 @@ def kodaira_class_of(t: Mat2) -> MonodromyClass:
     if tr == 0:
         return MonodromyClass.ORDER_FOUR
     return MonodromyClass.ORDER_THREE
+
+
+def kodaira_class_of(t: Mat2) -> MonodromyClass:
+    """Trace/order class bucket of a determinant-one integer matrix."""
+    t = as_mat2(t)
+    (a, b), (c, d) = t
+    if a * d - b * c != 1:
+        raise ValueError(f"matrix has determinant {_int_text(a * d - b * c)}, expected 1")
+    return _class_of(t)
 
 
 class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
@@ -168,22 +166,27 @@ def validate_representation(rep: MonodromyRep) -> tuple[MonodromyClass, ...]:
     """Check determinants, the identity product, and declared classes.
 
     Returns the per-matrix class buckets on success and raises
-    DetNotOne / ProductNotIdentity / ClassMismatch otherwise.
+    DetNotOne / ProductNotIdentity / ClassMismatch otherwise, in that
+    order of precedence, each at its first offending index.  One pass
+    over the matrices, which `MonodromyRep` has already normalised.
     """
-    for idx, t in enumerate(rep.matrices):
-        det = mat_det2(t)
-        if det != 1:
-            raise DetNotOne(idx, det)
-    product = IDENTITY
-    for t in rep.matrices:
-        product = mat_mul2(product, t)
-    if product != IDENTITY:
-        raise ProductNotIdentity(product)
-    classes = tuple(kodaira_class_of(t) for t in rep.matrices)
-    for idx, (cls, declared) in enumerate(zip(classes, rep.declared)):
-        if declared is not None and cls is not kodaira_class_of(_monodromy(declared)):
-            raise ClassMismatch(idx, declared, cls)
-    return classes
+    p, q, r, s = 1, 0, 0, 1
+    classes = []
+    mismatch = None
+    for idx, (t, label) in enumerate(zip(rep.matrices, rep.declared)):
+        (a, b), (c, d) = t
+        if a * d - b * c != 1:
+            raise DetNotOne(idx, a * d - b * c)
+        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        cls = _class_of(t)
+        classes.append(cls)
+        if mismatch is None and label is not None and cls is not _class_of(_monodromy(label)):
+            mismatch = (idx, label, cls)
+    if (p, q, r, s) != (1, 0, 0, 1):
+        raise ProductNotIdentity(((p, q), (r, s)))
+    if mismatch is not None:
+        raise ClassMismatch(*mismatch)
+    return tuple(classes)
 
 
 class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
@@ -272,7 +275,8 @@ def coinvariant_quotient(
     gives the new (a, b), and the combination with first coordinate 0
     joins c.  The quotient is then Z/d1 x Z/d2 with d1 = gcd(a, b, c)
     and d1 d2 = |a c|, one free factor for each zero among a, c when
-    d1 > 0, and Z^2 when the lattice is 0.
+    d1 > 0, and Z^2 when the lattice is 0.  The fold stops once
+    a = c = 1, as the columns then span Z^2.
     """
     k = len(rep.matrices)
     if subset is None:
@@ -291,6 +295,8 @@ def coinvariant_quotient(
                 a, b, c = g, u * b + v * y, gcd(c, x // g * b - a // g * y)
             else:
                 c = gcd(c, y)
+        if a == c == 1:  # the columns span Z^2: the quotient is trivial
+            break
     d1 = gcd(a, b, c)
     if a and c:
         return AbelianGroup((d1, abs(a * c) // d1))

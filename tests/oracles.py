@@ -9,7 +9,8 @@ library so the two sides of each check share no code:
   matrix product, used to validate Smith normal forms,
 * full-grid isotropic vector search without pruning, and the value
   x.G.x of a form,
-* 2x2 integer matrix powering,
+* 2x2 integer matrix powering, and the monodromy representation check
+  as three separate passes (determinants, product, declared classes),
 * Todd-Coxeter coset enumeration, used to validate the orbifold group
   orders,
 * the generating function counting sweep classes,
@@ -340,6 +341,80 @@ def mat2_power_order(t, limit: int = 12):
             ),
         )
     return None
+
+
+_PLAIN_MONODROMY = {
+    "II": ((1, 1), (-1, 0)),
+    "III": ((0, 1), (-1, 0)),
+    "IV": ((0, 1), (-1, -1)),
+    "IV*": ((-1, -1), (1, 0)),
+    "III*": ((0, -1), (1, 0)),
+    "II*": ((0, -1), (1, 1)),
+}
+
+
+def fiber_monodromy(base: str, n=None):
+    """Kodaira's canonical monodromy of the fiber type (base, n)."""
+    if base == "I":
+        return ((1, n), (0, 1))
+    if base == "I*":
+        return ((-1, -n), (0, -1))
+    return _PLAIN_MONODROMY[base]
+
+
+def monodromy_class(t) -> str:
+    """The trace/order class name of a determinant-one 2x2 matrix."""
+    det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+    if det != 1:
+        raise ValueError(f"matrix has determinant {det}, expected 1")
+    tr = t[0][0] + t[1][1]
+    if tr == 2:
+        return "identity" if t == ((1, 0), (0, 1)) else "I_n"
+    if tr == -2:
+        return "I*_0" if t == ((-1, 0), (0, -1)) else "I*_n"
+    return {1: "II/II*", 0: "III/III*", -1: "IV/IV*"}.get(tr, "unrecognized")
+
+
+class RepresentationRejected(ValueError):
+    """A rejected representation: the error class name, the offending
+    index (None for the product) and the message."""
+
+    def __init__(self, kind: str, index, message: str):
+        super().__init__(message)
+        self.kind, self.index = kind, index
+
+
+def three_pass_validate(matrices, declared) -> tuple[str, ...]:
+    """The class names of a monodromy representation, checked in three
+    passes: every determinant, then the ordered product, then each
+    declared (base, n) fiber type (None: undeclared) against its
+    matrix's class.  Raises RepresentationRejected otherwise."""
+    for idx, t in enumerate(matrices):
+        det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        if det != 1:
+            raise RepresentationRejected(
+                "DetNotOne", idx, f"matrix {idx} has determinant {det}, expected 1"
+            )
+    product = ((1, 0), (0, 1))
+    for t in matrices:
+        product = tuple(
+            tuple(sum(product[i][k] * t[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    if product != ((1, 0), (0, 1)):
+        raise RepresentationRejected(
+            "ProductNotIdentity", None, f"ordered product is {product}, expected the identity"
+        )
+    classes = tuple(monodromy_class(t) for t in matrices)
+    for idx, (cls, fiber) in enumerate(zip(classes, declared)):
+        if fiber is not None and cls != monodromy_class(fiber_monodromy(*fiber)):
+            label = fiber[0] if fiber[1] is None else f"{fiber[0]}{fiber[1]}"
+            raise RepresentationRejected(
+                "ClassMismatch",
+                idx,
+                f"matrix {idx} declared {label} but its trace/order class is {cls}",
+            )
+    return classes
 
 
 # ----------------------------------------------------------------------

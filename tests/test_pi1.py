@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3pi1.kodaira import KodairaType, fiber_data
 from k3pi1.lattice import smith_normal_form
@@ -15,13 +17,20 @@ from k3pi1.pi1 import (
     MonodromyClass,
     MonodromyRep,
     ProductNotIdentity,
+    RepresentationError,
     coinvariant_quotient,
     kodaira_class_of,
     mat_mul2,
     validate_representation,
 )
 
-from oracles import mat2_power_order, minors_gcd
+from oracles import (
+    RepresentationRejected,
+    mat2_power_order,
+    minors_gcd,
+    monodromy_class,
+    three_pass_validate,
+)
 
 A = ((1, 1), (0, 1))
 B = ((1, 0), (-1, 1))
@@ -212,6 +221,16 @@ def _random_rep(rng, k):
     return tuple(mats)
 
 
+def _minor_gcd_quotient(mats):
+    """Z^2 modulo the columns of I - T from the minor gcds of the 2 x 2k matrix."""
+    rows = [[], []]
+    for (p, q), (r, s) in mats:
+        rows[0] += [1 - p, -q]
+        rows[1] += [-r, 1 - s]
+    d1, d12 = minors_gcd(rows, 1), minors_gcd(rows, 2)
+    return AbelianGroup((d1, d12 // d1) if d12 else (d1, 0) if d1 else (0, 0))
+
+
 def test_quotient_matches_smith_form_and_minor_gcds():
     # the triangular fold against the Smith normal form of the 2 x 2k
     # relation matrix and against its minor gcds: d1 is the gcd of the
@@ -237,7 +256,124 @@ def test_quotient_matches_smith_form_and_minor_gcds():
         group = coinvariant_quotient(MonodromyRep(mats))
         diag = smith_normal_form(rows).diagonal if k else ()
         assert group == AbelianGroup(tuple(sorted(diag, key=lambda d: d == 0)) + (0,) * (2 - len(diag)))
-        d1 = minors_gcd(rows, 1) if k else 0
-        d12 = minors_gcd(rows, 2) if k else 0
-        expected = (d1, d12 // d1) if d12 else (d1, 0) if d1 else (0, 0)
-        assert group == AbelianGroup(expected), mats
+        assert group == _minor_gcd_quotient(mats), mats
+
+
+# ----------------------------------------------------------------------
+# the one-pass validation against the three-pass oracle
+
+S = ((0, -1), (1, 0))
+_LABELS = [
+    ("I", 1), ("I", 7), ("I", 10**12), ("I*", 0), ("I*", 3), ("I*", 10**12),
+    ("II", None), ("III", None), ("IV", None), ("IV*", None), ("III*", None), ("II*", None),
+]
+# a fiber type of each class, for declarations that match their matrix
+_LABEL_OF_CLASS = {
+    "I_n": ("I", 10**12), "I*_0": ("I*", 0), "I*_n": ("I*", 10**12),
+    "II/II*": ("II*", None), "III/III*": ("III", None), "IV/IV*": ("IV*", None),
+}
+
+
+def _adjugate(m):
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+
+@st.composite
+def _matrices(draw):
+    """A 2x2 integer matrix: a word in S, T, T^-1 (determinant one), a
+    conjugated fiber monodromy, or free entries (often determinant != 1)."""
+    kind = draw(st.sampled_from(["word", "word", "fiber", "fiber", "fiber", "entries"]))
+    if kind == "entries":
+        return tuple(tuple(draw(st.integers(-3, 3)) for _ in "ab") for _ in "ab")
+    word = IDENTITY
+    for g in draw(st.lists(st.sampled_from([S, A, _adjugate(A)]), max_size=5)):
+        word = mat_mul2(word, g)
+    if kind == "word":
+        return word
+    base, n = draw(st.sampled_from(_LABELS))
+    fiber = KodairaType(base, None if n is None else min(n, 9))
+    return _conjugate(word, fiber_data(fiber).monodromy)
+
+
+@st.composite
+def _representations(draw):
+    """(matrices, declared (base, n) pairs or None); the last matrix is
+    usually the adjugate of the product before it, so most products are
+    the identity when every determinant is one."""
+    mats = draw(st.lists(_matrices(), min_size=0, max_size=7))
+    product = IDENTITY
+    for m in mats:
+        product = mat_mul2(product, m)
+    mats.append(draw(st.sampled_from([_adjugate(product), _adjugate(product), A, S])))
+    declared = []
+    for m in mats:
+        choice = draw(st.sampled_from(["none", "none", "match", "any"]))
+        det_one = m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+        if choice == "match" and det_one:
+            declared.append(_LABEL_OF_CLASS.get(monodromy_class(m)))
+        elif choice == "any":
+            declared.append(draw(st.sampled_from(_LABELS)))
+        else:
+            declared.append(None)
+    return tuple(mats), tuple(declared)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_representations())
+def test_validate_representation_matches_the_three_pass_oracle(drawn):
+    mats, labels = drawn
+    rep = MonodromyRep(mats, tuple(None if lab is None else KodairaType(*lab) for lab in labels))
+    try:
+        expected = three_pass_validate(mats, labels)
+    except RepresentationRejected as exc:
+        with pytest.raises(RepresentationError) as got:
+            validate_representation(rep)
+        assert (type(got.value).__name__, getattr(got.value, "index", None), str(got.value)) == (
+            exc.kind, exc.index, str(exc),
+        )
+    else:
+        assert tuple(c.value for c in validate_representation(rep)) == expected
+
+
+# ----------------------------------------------------------------------
+# the quotient fold stops once the columns span Z^2
+
+
+class _Reads(tuple):
+    """A matrix tuple that records which entries are read."""
+
+    def __getitem__(self, j):
+        self.indices = getattr(self, "indices", []) + [j]
+        return super().__getitem__(j)
+
+
+def _reading_rep(mats):
+    mats = _Reads(mats)
+    return mats, tuple.__new__(MonodromyRep, (mats, (None,) * len(mats)))
+
+
+def test_quotient_stops_once_the_columns_span_z2():
+    # A and B alone span Z^2; the later matrices have 3000-digit entries
+    huge = 10**3000
+    mats = (
+        A, B, ((1, -1), (1, 0)),
+        ((1, huge), (0, 1)), ((1, -huge), (0, 1)), ((1, 0), (huge, 1)), ((1, 0), (-huge, 1)),
+    )
+    validate_representation(MonodromyRep(mats))
+    reads, rep = _reading_rep(mats)
+    assert coinvariant_quotient(rep).is_trivial
+    assert reads.indices == [0, 1]
+    assert _minor_gcd_quotient(mats) == AbelianGroup()
+    # a subset without A or B never spans Z^2, so every chosen entry is read
+    reads, rep = _reading_rep(mats)
+    assert coinvariant_quotient(rep, [4, 3]) == AbelianGroup((huge, 0))
+    assert reads.indices == [3, 4]
+    assert _minor_gcd_quotient(mats[3:5]) == AbelianGroup((huge, 0))
+
+
+def test_quotient_of_a_subset_that_never_spans_z2():
+    mats = (MINUS_IDENTITY,) * 4
+    reads, rep = _reading_rep(mats)
+    assert coinvariant_quotient(rep, [3, 2, 1, 0]) == AbelianGroup((2, 2))
+    assert reads.indices == [0, 1, 2, 3]
+    assert _minor_gcd_quotient(mats) == AbelianGroup((2, 2))
