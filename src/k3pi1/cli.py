@@ -88,6 +88,21 @@ def _field(field: str) -> Iterator[None]:
         raise InputError(field, str(exc)) from exc
 
 
+@contextmanager
+def _exact_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit in the block, where an
+    answer is formatted: input is read, and checked, before it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 _ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
@@ -243,35 +258,37 @@ def _load_matrix_file(path: str) -> list[list[int]]:
 
 def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     report = analyze(load_config(args.file))
-    lines = [
-        f"input: {report.kind}",
-        f"r = {report.r}",
-        f"e_orb = {report.e_orb}",
-        f"singularities: {', '.join(report.config.labels) or '(none)'}",
-    ]
-    if report.fibers is not None:
-        for f in report.fibers:
-            removed = ", ".join(sorted(f.decoration.removed)) or "-"
-            lines.append(
-                f"fiber {f.decoration.fiber.label}: removed [{removed}] "
-                f"m = {f.m} config [{', '.join(f.removed_config.labels) or '-'}]"
-            )
-        lines.append(f"cone orders: {list(report.cone_orders)}")
-        lines.append(f"classification: {_class_name(report.classification)}")
-    gate = "passes" if report.rank_gate_passes else "fails"
-    lines.append(f"rank gate (r <= {RANK_GATE_BOUND}): {gate}")
-    if report.monodromy_quotient is not None:
-        note = "" if report.monodromy_quotient_trivial else " (expected trivial)"
-        lines.append(f"monodromy quotient: {report.monodromy_quotient}{note}")
-    lines.append(f"verdict: {report.verdict.kind if report.verdict else 'undetermined'}")
-    return report.to_json_dict(), lines, 0
+    with _exact_digits():
+        lines = [
+            f"input: {report.kind}",
+            f"r = {report.r}",
+            f"e_orb = {report.e_orb}",
+            f"singularities: {', '.join(report.config.labels) or '(none)'}",
+        ]
+        if report.fibers is not None:
+            for f in report.fibers:
+                removed = ", ".join(sorted(f.decoration.removed)) or "-"
+                lines.append(
+                    f"fiber {f.decoration.fiber.label}: removed [{removed}] "
+                    f"m = {f.m} config [{', '.join(f.removed_config.labels) or '-'}]"
+                )
+            lines.append(f"cone orders: {list(report.cone_orders)}")
+            lines.append(f"classification: {_class_name(report.classification)}")
+        gate = "passes" if report.rank_gate_passes else "fails"
+        lines.append(f"rank gate (r <= {RANK_GATE_BOUND}): {gate}")
+        if report.monodromy_quotient is not None:
+            note = "" if report.monodromy_quotient_trivial else " (expected trivial)"
+            lines.append(f"monodromy quotient: {report.monodromy_quotient}{note}")
+        lines.append(f"verdict: {report.verdict.kind if report.verdict else 'undetermined'}")
+        return report.to_json_dict(), lines, 0
 
 
 def _cmd_euler(args) -> tuple[dict, list[str], int]:
     report = analyze(load_config(args.file))
-    full = report.to_json_dict()
-    payload = {key: full[key] for key in ("r", "e_orb", "singularities")}
-    return payload, [f"r = {report.r}", f"e_orb = {report.e_orb}"], 0
+    with _exact_digits():
+        full = report.to_json_dict()
+        payload = {key: full[key] for key in ("r", "e_orb", "singularities")}
+        return payload, [f"r = {report.r}", f"e_orb = {report.e_orb}"], 0
 
 
 def _class_name(cls) -> str:
@@ -286,13 +303,14 @@ def _cmd_orbifold(args) -> tuple[dict, list[str], int]:
         _integer(token, "--signature", text=True, message="expected ASCII digits")
     chi = orbifold_euler_characteristic(sig)
     cls = classify(sig)
-    payload = {
-        "cone_orders": list(sig.cone_orders),
-        "chi": _frac_str(chi),
-        "classification": cls.kind,
-        "order": cls.order,
-    }
-    return payload, [f"{_class_name(cls)}, chi = {_frac_str(chi)}"], 0
+    with _exact_digits():
+        payload = {
+            "cone_orders": list(sig.cone_orders),
+            "chi": _frac_str(chi),
+            "classification": cls.kind,
+            "order": cls.order,
+        }
+        return payload, [f"{_class_name(cls)}, chi = {_frac_str(chi)}"], 0
 
 
 def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
@@ -303,7 +321,8 @@ def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
         "d": [list(r) for r in res.d],
         "v": [list(r) for r in res.v],
     }
-    return payload, ["diagonal: " + " ".join(str(x) for x in res.diagonal)], 0
+    with _exact_digits():
+        return payload, ["diagonal: " + " ".join(str(x) for x in res.diagonal)], 0
 
 
 def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
@@ -387,13 +406,14 @@ def _cmd_pi1_quotient(args) -> tuple[dict, list[str], int]:
             raise InputError("--subset", f"indices must be in 1..{len(rep)}")
         subset = [j - 1 for j in one_based]
     group = coinvariant_quotient(rep, subset)
-    payload = {
-        "invariant_factors": list(group.invariant_factors),
-        "description": group.describe(),
-        "order": group.order,
-    }
-    factors = ", ".join(str(d) for d in group.invariant_factors) or "-"
-    return payload, [f"quotient: {group.describe()} (invariant factors: {factors})"], 0
+    with _exact_digits():
+        payload = {
+            "invariant_factors": list(group.invariant_factors),
+            "description": group.describe(),
+            "order": group.order,
+        }
+        factors = ", ".join(str(d) for d in group.invariant_factors) or "-"
+        return payload, [f"quotient: {group.describe()} (invariant factors: {factors})"], 0
 
 
 def _cmd_enumerate(args) -> tuple[dict, list[str], int]:
@@ -495,7 +515,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+    with _exact_digits():
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines))
     return code
 
 

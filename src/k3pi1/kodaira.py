@@ -400,43 +400,8 @@ class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed"
     __slots__ = ()
 
 
-# Each key enumerator maps its outcome keys to a recipe for one
-# representative removed set: the removed ids themselves for II ... II*,
-# the arc lengths for I_n, and (a, p, b, s, arcs) for I*_n.
-def _removed_ids(base: str, ids: list[str], recipe) -> list[str]:
-    """The removed ids a recipe stands for, given the fiber's component ids."""
-    if base == "I":
-        return _arc_ids(ids, recipe, 0)
-    if base == "I*":
-        a, p, b, s, arcs = recipe
-        tails, chain = ids[:4], ids[4:]
-        return (
-            tails[:a] + tails[2 : 2 + b] + chain[:p] + chain[len(chain) - s :]
-            + _arc_ids(chain, arcs, p + 1)
-        )
-    return recipe
-
-
-def _build_outcomes(
-    t: KodairaType, keys: dict[OutcomeKey, object]
-) -> tuple[DecorationOutcome, ...]:
-    """One outcome per key, in key order, with the removed set of the
-    key's recipe as its representative."""
-    ids = list(fiber_data(t).component_ids)
-    types: dict[tuple[str, int], DuValType] = {}
-    outcomes = []
-    for key in sorted(keys):
-        m, pieces = key
-        for p in pieces:
-            if p not in types:
-                types[p] = DuValType(*p)
-        config = AdeConfig(tuple(types[p] for p in pieces))
-        removed = frozenset(_removed_ids(t.base, ids, keys[key]))
-        outcomes.append(DecorationOutcome(t, m, config, removed))
-    return tuple(outcomes)
-
-
 def _subset_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
+    """Outcome keys of a star fiber, by brute force over its proper subsets."""
     ids = fiber_data(t).component_ids
     keys: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
@@ -463,15 +428,20 @@ def _arc_ids(ids: list[str], arcs: Sequence[int], pos: int) -> list[str]:
     return removed
 
 
-def _cycle_keys(n: int) -> dict[OutcomeKey, list[int]]:
-    """Outcome keys of I_n, n >= 1, without subset enumeration.
+def _cycle_keys(n: int) -> dict[OutcomeKey, list[str]]:
+    """Outcome keys of the n-cycle c0..c{n-1}: I_n, and II, III, IV for
+    n = 1, 2, 3, without subset enumeration.
 
     Removed sets are disjoint unions of arcs of the n-cycle with at
     least one kept component between consecutive arcs; the outcome is
     the multiset of arc lengths, always with m = 1, and each multiset
-    is generated once.
+    is generated once, with its arcs laid out from c0.
     """
-    return {(1, tuple(("A", length) for length in arcs)): arcs for arcs in _arc_multisets(n)}
+    ids = [f"c{i}" for i in range(n)]
+    return {
+        (1, tuple(("A", length) for length in arcs)): _arc_ids(ids, arcs, 0)
+        for arcs in _arc_multisets(n)
+    }
 
 
 def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
@@ -484,7 +454,7 @@ def _istar_end(tails: int, run: int) -> tuple[tuple[str, int], ...]:
     return (("A", 3),) if run == 1 else (("D", run + 2),)
 
 
-def _istar_keys(n: int) -> dict[OutcomeKey, tuple]:
+def _istar_keys(n: int) -> dict[OutcomeKey, list[str]]:
     """Outcome keys of I*_n without subset enumeration.
 
     A removed set is either the whole chain with a + b tails, or (a
@@ -497,18 +467,19 @@ def _istar_keys(n: int) -> dict[OutcomeKey, tuple]:
     Many choices give the same outcome.  The pieces at the two ends and
     m form a head; of all (a, p, b, s) with the same head, among them
     the mirror images (b, s, a, p), only the one leaving the most room
-    for interior runs is expanded, and the first recipe of each key is
-    kept.
+    for interior runs is expanded, and the first removed set of each
+    key is kept.
     """
     chain = n + 1
+    ids = [f"c{i}" for i in range(chain)]
     heads: dict[OutcomeKey, tuple[int, int, int, int, int]] = {}
-    keys: dict[OutcomeKey, tuple] = {}
+    keys: dict[OutcomeKey, list[str]] = {}
     for a in range(3):
         for b in range(3):
             m = 2 if a == b == 2 else 1
             if m == 1:  # the whole chain: an end run taking in the other end's tails
                 key = (1, _istar_end(max(a, b), chain + min(a, b)))
-                keys.setdefault(key, (a, chain, b, 0, ()))
+                keys.setdefault(key, [*_TAILS[:a], *_TAILS[2 : 2 + b], *ids])
             for p in range(chain):
                 for s in range(chain - p):
                     head = (m, tuple(sorted(_istar_end(a, p) + _istar_end(b, s))))
@@ -523,20 +494,21 @@ def _istar_keys(n: int) -> dict[OutcomeKey, tuple]:
                 (arcs, tuple(("A", length) for length in arcs))
                 for arcs in _arc_multisets(room)
             ]
+        removed = [*_TAILS[:a], *_TAILS[2 : 2 + b], *ids[:p], *ids[chain - s :]]
         for arcs, pieces in interiors[room]:
             key = (m, tuple(sorted(head + pieces)))
             if key not in keys:
-                keys[key] = (a, p, b, s, arcs)
+                keys[key] = removed + _arc_ids(ids, arcs, p + 1)
     return keys
 
 
-def _outcome_keys(t: KodairaType) -> dict[OutcomeKey, object]:
-    """Every outcome key of a fiber type, each with one recipe."""
+def _outcome_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
+    """Every outcome key of a fiber type, each with one removed set."""
     if t.base == "I*":
         return _istar_keys(t.n)
-    if t.base == "I":
-        return _cycle_keys(t.n)
-    return _subset_keys(t)
+    if t.base in _STARS:
+        return _subset_keys(t)
+    return _cycle_keys(_CYCLES.get(t.base, t.n))
 
 
 @lru_cache(maxsize=None)
@@ -544,12 +516,16 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """All decoration classes of a fiber type, one representative each,
     sorted by (m, removed config).
 
-    Every I_n and I*_n uses the structural enumerations above, which
-    find each outcome once; the tests check them against brute force.
-    Only II ... II*, with at most 9 components, are enumerated by brute
-    force over subsets.
+    Cycles (I_n, and II, III, IV as in `validate_decoration`) and I*_n
+    use the structural enumerations above, which find each outcome
+    once; the tests check them against brute force.  Only IV*, III*
+    and II*, with at most 9 components, are enumerated by brute force
+    over subsets.
     """
-    return _build_outcomes(t, _outcome_keys(t))
+    return tuple(
+        DecorationOutcome(t, m, AdeConfig(tuple([_du_val(*p) for p in pieces])), frozenset(ids))
+        for (m, pieces), ids in sorted(_outcome_keys(t).items())
+    )
 
 
 # Counting I_n and I*_n outcomes without their keys.  A removed set of
@@ -626,7 +602,7 @@ def _outcome_counts(t: KodairaType) -> Counter[int]:
     I_n and I*_n are read from the cumulative counts of `_arc_counts`,
     built once for every n below the next power of two (at least 32),
     without building any key; `_cycle_keys` and `_istar_keys` are their
-    test oracle.  II ... II* count their small brute-force tables.
+    test oracle.  II ... II* count their small outcome tables.
     """
     if t.base in ("I", "I*"):
         arcs, one, two = _arc_counts(1 << max(5, t.n.bit_length()))

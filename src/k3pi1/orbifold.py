@@ -64,10 +64,6 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
             return cls()
         return cls(tuple(int(part) for part in text.split(",")))
 
-    @property
-    def k(self) -> int:
-        return len(self.cone_orders)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(m) for m in self.cone_orders) + ")"
 
@@ -85,10 +81,6 @@ class OrbifoldClass(namedtuple("OrbifoldClass", "kind order", defaults=(None,)))
     spherical-or-bad case and None otherwise."""
 
     __slots__ = ()
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == SPHERICAL_OR_BAD
 
 
 def classify(s: OrbifoldSignature) -> OrbifoldClass:

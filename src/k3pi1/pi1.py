@@ -33,7 +33,6 @@ __all__ = [
     "DetNotOne",
     "ProductNotIdentity",
     "ClassMismatch",
-    "mat_mul2",
     "kodaira_class_of",
     "validate_representation",
     "coinvariant_quotient",
@@ -49,19 +48,6 @@ def as_mat2(entries: Sequence[Sequence[int]]) -> Mat2:
     return (
         (int(entries[0][0]), int(entries[0][1])),
         (int(entries[1][0]), int(entries[1][1])),
-    )
-
-
-def mat_mul2(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
     )
 
 

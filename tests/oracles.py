@@ -323,6 +323,14 @@ def brute_isotropic(rows, bound: int):
     return found
 
 
+def mat2_mul(a, b):
+    """The product of two 2x2 integer matrices, as nested tuples."""
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
 def mat2_power_order(t, limit: int = 12):
     """Multiplicative order of a 2x2 integer matrix, or None if > limit."""
     ident = ((1, 0), (0, 1))
@@ -330,16 +338,7 @@ def mat2_power_order(t, limit: int = 12):
     for k in range(1, limit + 1):
         if cur == ident:
             return k
-        cur = (
-            (
-                cur[0][0] * t[0][0] + cur[0][1] * t[1][0],
-                cur[0][0] * t[0][1] + cur[0][1] * t[1][1],
-            ),
-            (
-                cur[1][0] * t[0][0] + cur[1][1] * t[1][0],
-                cur[1][0] * t[0][1] + cur[1][1] * t[1][1],
-            ),
-        )
+        cur = mat2_mul(cur, t)
     return None
 
 

@@ -26,10 +26,18 @@ from k3pi1.lattice import (
     smith_normal_form,
 )
 from k3pi1.orbifold import OrbifoldSignature, orbifold_euler_characteristic
-from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep, coinvariant_quotient, mat_mul2
+from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep, coinvariant_quotient
 from k3pi1.surface import NormalK3Input, analyze, orbifold_euler_number, trichotomy_sweep
 
-from oracles import det_cofactor, evaluate_form, group_order_oracle, mat2_power_order, mat_mul, minors_gcd
+from oracles import (
+    det_cofactor,
+    evaluate_form,
+    group_order_oracle,
+    mat2_mul,
+    mat2_power_order,
+    mat_mul,
+    minors_gcd,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -234,7 +242,7 @@ def test_criterion_8_monodromy_quotients():
     with _criterion(8, "monodromy quotients: trivial, (2,2) flagged, empty = Z^2"):
         a = ((1, 1), (0, 1))
         b = ((1, 0), (-1, 1))
-        assert mat2_power_order(mat_mul2(a, b)) == 6
+        assert mat2_power_order(mat2_mul(a, b)) == 6
         rep24 = MonodromyRep((a, b) * 12)
         assert coinvariant_quotient(rep24).is_trivial
 

@@ -8,12 +8,18 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from k3pi1 import cli
 from k3pi1.cli import InputError, _build_parser, load_config, main
+
+from oracles import minors_gcd
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -309,6 +315,156 @@ def test_unreadable_input_files_exit_1_naming_the_file(tmp_path):
             assert (code, out) == (1, ""), (command, reason)
             assert err.startswith(f"error: {bad}:") and reason in err, (command, reason)
             assert err.count("\n") == 1, (command, reason)
+
+
+def _digits(x):
+    """str(x) past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_answers_past_the_int_to_str_limit_print_exactly(tmp_path):
+    # every input integer has at most 4,300 digits, the loaders' limit,
+    # but an answer may have more; it is printed in full, and the limit
+    # is back in force afterwards
+    limit = sys.get_int_max_str_digits()
+    x = 10**4299
+    y = x + 1
+    rep = tmp_path / "rep.json"
+    mats = [[[1, x], [0, 1]], [[1, -x], [0, 1]], [[1, 0], [y, 1]], [[1, 0], [-y, 1]]]
+    rep.write_text("[%s]" % ", ".join(
+        "[[%s, %s], [%s, %s]]" % tuple(_digits(e) for row in m for e in row) for m in mats
+    ))
+    # Z^2 modulo the columns of I - T_j: d1 and d1 d2 are the minor gcds
+    relations = [[0, 0, -x, 0, 0, 0, x, 0], [0, 0, 0, 0, -y, 0, 0, y]]
+    d1, d2 = minors_gcd(relations, 1), minors_gcd(relations, 2)
+    assert d1 == 1 and len(_digits(d2)) > 8_500
+    code, out, err = run_cli("pi1", "quotient", str(rep))
+    assert (code, err) == (0, "")
+    assert out == f"quotient: Z/{_digits(d2)} (invariant factors: {_digits(d2)})\n"
+    code, out, err = run_cli("pi1", "quotient", str(rep), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_int=str)
+    assert payload["invariant_factors"] == [_digits(d2)]
+    assert payload["order"] == _digits(d2)
+
+    n = 10**4300 - 1  # A_n contributes n + 1 - 1/(n + 1)
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"singularities": [f"A{'9' * 4300}"] * 3}))
+    r, e_orb = 3 * n, Fraction(24) - 3 * (n + 1 - Fraction(1, n + 1))
+    e_orb_text = f"{_digits(e_orb.numerator)}/{_digits(e_orb.denominator)}"
+    for command in ("analyze", "euler"):
+        code, out, err = run_cli(command, str(bare))
+        assert (code, err) == (0, ""), command
+        assert f"r = {_digits(r)}\ne_orb = {e_orb_text}\n" in out, command
+        code, out, err = run_cli(command, str(bare), "--json")
+        assert (code, err) == (0, ""), command
+        payload = json.loads(out, parse_int=str)
+        assert (payload["r"], payload["e_orb"]) == (_digits(r), e_orb_text), command
+
+    snf = tmp_path / "snf.txt"
+    snf.write_text(f"{_digits(x)} 0\n0 {_digits(y)}\n")
+    code, out, err = run_cli("lattice", "snf", str(snf))
+    assert (code, out, err) == (0, f"diagonal: 1 {_digits(x * y)}\n", "")
+
+    orders = [x + 1, x + 3, x + 7]
+    chi = 2 - sum(1 - Fraction(1, m) for m in orders)
+    code, out, err = run_cli("orbifold", "--signature", ",".join(map(_digits, orders)))
+    assert (code, err) == (0, "")
+    assert out == f"Hyperbolic, chi = {_digits(chi.numerator)}/{_digits(chi.denominator)}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+    # the input limits stay: 4,301 digits are refused as before
+    snf.write_text(f"{_digits(10 * x)} 0\n0 1\n")
+    code, out, err = run_cli("lattice", "snf", str(snf))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {snf}:1: Exceeds the limit (4300 digits)")
+    bare.write_text(json.dumps({"singularities": [f"A{'9' * 4301}"]}))
+    code, out, err = run_cli("analyze", str(bare))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: singularities:") and err.count("\n") == 1
+
+
+_KEYS = ["singularities", "fibration", "fibers", "monodromy", "kodaira", "n", "removed",
+         "matrix", "declared"]
+_LABELS = ["A1", "A01", "A0", "D3", "D4", "E8", "E9", "Q7", "I", "I*", "I3", "I*0", "II", "III",
+           "IV", "IV*", "III*", "II*", "I05", ""]
+_IDS = ["c0", "c1", "c2", "c5", "c01", "t1", "t2", "t3", "t4", "t5", "z", "a1", "b1", "zz", ""]
+_MATRICES = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[1, 1], [0, 1]], [[1, -1], [0, 1]],
+             [[0, -1], [1, 0]], [[0, 1], [-1, 0]], [[1, 1], [-1, 0]], [[2, 0], [0, 1]]]
+_TOKENS = ["0", "1", "-2", "+3", "7", "\u0663", "1.5", "x", "--1", "1" + "0" * 4300,
+           "1" + "0" * 4299, "123456789012345678901234567890"]
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False), _text, st.sampled_from(_LABELS + _IDS),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.sampled_from(_KEYS) | _text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+_matrix = st.sampled_from(_MATRICES) | st.lists(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2
+)
+_entry = _matrix | st.fixed_dictionaries(
+    {"matrix": _matrix}, optional={"declared": st.sampled_from(_LABELS) | st.integers(0, 3)}
+)
+_fiber = st.fixed_dictionaries(
+    {"kodaira": st.sampled_from(_LABELS)},
+    optional={
+        "n": st.integers(-1, 30) | st.just(10**12),
+        "removed": st.lists(st.sampled_from(_IDS), max_size=4),
+    },
+)
+_istar0 = st.fixed_dictionaries(
+    {"kodaira": st.just("I*0"), "removed": st.lists(st.sampled_from(_IDS[5:9]), max_size=4)}
+)
+_fibers = st.lists(_fiber, max_size=6) | st.lists(_istar0, min_size=4, max_size=4)
+_configs = st.fixed_dictionaries(
+    {"singularities": st.lists(st.sampled_from(_LABELS), max_size=20)}
+) | st.fixed_dictionaries(
+    {"fibration": st.fixed_dictionaries({"fibers": _fibers})},
+    optional={"monodromy": st.lists(_entry, max_size=6)},
+)
+_text_matrices = st.lists(
+    st.lists(st.sampled_from(_TOKENS), max_size=4).map(" ".join), max_size=4
+).map("\n".join)
+_documents = st.one_of(
+    _json.map(json.dumps),
+    _configs.map(json.dumps),
+    st.lists(_entry, max_size=6).map(json.dumps),
+    st.lists(st.lists(st.sampled_from(_TOKENS[:5]), min_size=1, max_size=4), max_size=4).map(
+        lambda rows: json.dumps([[int(t) for t in row] for row in rows])
+    ),
+    _text_matrices,
+    _text,
+)
+
+
+@seed(20_250_301)
+@settings(max_examples=200, deadline=None, database=None)
+@given(document=_documents, bound=st.integers(-1, 3))
+def test_loaders_end_with_exit_0_1_or_2_and_one_error_line(document, bound):
+    commands = [["analyze"], ["euler"], ["pi1", "quotient"], ["lattice", "snf"]]
+    commands.append(["lattice", "isotropic", "--bound", str(bound)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(document, encoding="utf-8")
+        for command in commands:
+            code, out, err = run_cli(*command, str(path))
+            assert code in (0, 1, 2), command
+            if code == 1:
+                assert out == "" and err.startswith("error: "), command
+                assert err.count("\n") == 1, command
 
 
 def test_noncanonical_labels_exit_1_naming_the_field(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the Kodaira fiber tables and decorations."""
 
+import hashlib
 from collections import Counter
 from math import gcd
 
@@ -280,10 +281,13 @@ def test_validate_k3_fibration_rejects_bad_euler_sum():
 
 
 def test_decoration_outcomes_match_brute_force_cycle():
+    # II, III and IV are the 1-, 2- and 3-cycle, as `validate_decoration` reads them
     from k3pi1.kodaira import _cycle_keys
 
-    for n in range(1, 14):
-        assert sorted(_cycle_keys(n)) == sorted(_graph_keys(KodairaType("I", n))), n
+    cycles = [(KodairaType("I", n), n) for n in range(1, 14)]
+    cycles += [(I("II"), 1), (I("III"), 2), (I("IV"), 3)]
+    for t, n in cycles:
+        assert sorted(_cycle_keys(n)) == sorted(_graph_keys(t)), t.label
 
 
 def test_decoration_outcomes_match_brute_force_istar():
@@ -347,6 +351,23 @@ def test_decoration_outcomes_representatives_are_valid():
         for o in decoration_outcomes(t):
             s = validate_decoration(Decoration(t, o.removed))
             assert (s.m, s.removed_config) == (o.m, o.config), (t.label, o)
+
+
+# SHA-256 over (label, m, config labels, sorted removed ids) of every
+# outcome of every fiber type with Euler number <= 24, in table order:
+# the enumerators may change, the tables and their representatives not
+OUTCOME_TABLES_SHA256 = "b7e543b5b78042ec75a0982f105d5a60492f88a165d9b0b133e3b29e93df67d2"
+
+
+def test_outcome_tables_and_representatives_are_pinned():
+    types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
+    types += [KodairaType("I", n) for n in range(1, 25)]
+    types += [KodairaType("I*", n) for n in range(0, 19)]
+    digest = hashlib.sha256()
+    for t in types:
+        for o in decoration_outcomes(t):
+            digest.update(repr((t.label, o.m, o.config.labels, sorted(o.removed))).encode())
+    assert digest.hexdigest() == OUTCOME_TABLES_SHA256
 
 
 def test_outcome_table_sizes_at_euler_24():

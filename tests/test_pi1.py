@@ -20,12 +20,12 @@ from k3pi1.pi1 import (
     RepresentationError,
     coinvariant_quotient,
     kodaira_class_of,
-    mat_mul2,
     validate_representation,
 )
 
 from oracles import (
     RepresentationRejected,
+    mat2_mul,
     mat2_power_order,
     minors_gcd,
     monodromy_class,
@@ -95,7 +95,7 @@ def test_kodaira_class_of_examples():
 
 def test_order_four_matrix_squares_to_minus_identity():
     t = ((0, -1), (1, 0))
-    assert mat_mul2(t, t) == MINUS_IDENTITY
+    assert mat2_mul(t, t) == MINUS_IDENTITY
     assert mat2_power_order(t) == 4
 
 
@@ -135,7 +135,7 @@ def test_quotient_four_minus_identity():
 
 def test_quotient_24_alternating_nodal_monodromies():
     word = (A, B) * 12
-    assert mat2_power_order(mat_mul2(A, B)) == 6
+    assert mat2_power_order(mat2_mul(A, B)) == 6
     rep = MonodromyRep(word)
     validate_representation(rep)
     q = coinvariant_quotient(rep)
@@ -164,7 +164,7 @@ def test_quotient_invariant_under_global_conjugation():
         rep_mats = _random_rep(rng, 4)
         p = IDENTITY
         for _ in range(rng.randint(1, 6)):
-            p = mat_mul2(p, rng.choice([s, t]))
+            p = mat2_mul(p, rng.choice([s, t]))
         conj = tuple(_conjugate(p, m) for m in rep_mats)
         q1 = coinvariant_quotient(MonodromyRep(rep_mats))
         q2 = coinvariant_quotient(MonodromyRep(conj))
@@ -199,7 +199,7 @@ def test_abelian_group_canonical_form():
 def _conjugate(p, m):
     # p m p^-1 for det-one p
     inv = ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
-    return mat_mul2(mat_mul2(p, m), inv)
+    return mat2_mul(mat2_mul(p, m), inv)
 
 
 def _random_rep(rng, k):
@@ -215,7 +215,7 @@ def _random_rep(rng, k):
             ]
         )
         mats.append(a)
-        prod = mat_mul2(prod, a)
+        prod = mat2_mul(prod, a)
     inv = ((prod[1][1], -prod[0][1]), (-prod[1][0], prod[0][0]))
     mats.append(inv)
     return tuple(mats)
@@ -287,7 +287,7 @@ def _matrices(draw):
         return tuple(tuple(draw(st.integers(-3, 3)) for _ in "ab") for _ in "ab")
     word = IDENTITY
     for g in draw(st.lists(st.sampled_from([S, A, _adjugate(A)]), max_size=5)):
-        word = mat_mul2(word, g)
+        word = mat2_mul(word, g)
     if kind == "word":
         return word
     base, n = draw(st.sampled_from(_LABELS))
@@ -303,7 +303,7 @@ def _representations(draw):
     mats = draw(st.lists(_matrices(), min_size=0, max_size=7))
     product = IDENTITY
     for m in mats:
-        product = mat_mul2(product, m)
+        product = mat2_mul(product, m)
     mats.append(draw(st.sampled_from([_adjugate(product), _adjugate(product), A, S])))
     declared = []
     for m in mats:

@@ -297,9 +297,11 @@ def test_trichotomy_sweep_collect_limit_keeps_the_first_instances():
 def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     # the sweep reads I_n and I*_n outcome counts from one arc table and
     # builds outcome tables only for the fiber types of the classes it
-    # expands (I*0 at budget 24) and for II ... II*; every cache is
+    # expands (I*0 at budget 24) and for II ... II*, of which only the
+    # stars IV*, III*, II* build a component table; every cache is
     # cleared first, so nothing comes from an earlier test
-    for cached in (decoration_outcomes, kodaira._outcome_counts, kodaira._arc_counts):
+    caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts)
+    for cached in caches:
         cached.cache_clear()
     expanded = []
 
@@ -315,12 +317,17 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     for name in ("_cycle_keys", "_istar_keys"):
         monkeypatch.setattr(kodaira, name, recorded(name))
     res = trichotomy_sweep(24)
-    assert expanded == [("_istar_keys", 0)]
+    assert expanded == [
+        ("_cycle_keys", 1), ("_cycle_keys", 2), ("_cycle_keys", 3), ("_istar_keys", 0)
+    ]
     assert kodaira._arc_counts.cache_info().currsize == 1
     assert decoration_outcomes.cache_info().currsize == 7
+    assert fiber_data.cache_info().currsize == 3
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
+    trichotomy_sweep(30, collect_limit=0)
+    assert fiber_data.cache_info().currsize == 3
 
 
 def _min_euler_per_cone_order(budget):
