@@ -14,7 +14,6 @@ from .dynkin import (
     AdeConfig,
     DuValType,
     NotAdeError,
-    enumerate_ade_configs,
     local_euler_contribution,
     recognize_ade,
 )
@@ -24,7 +23,6 @@ from .kodaira import (
     EulerSumMismatch,
     FullSupportRemoved,
     KodairaType,
-    NotAdeRemovedSet,
     decoration_outcomes,
     fiber_data,
     validate_decoration,
@@ -38,7 +36,6 @@ from .lattice import (
     isotropic_search,
     k3_gram,
     meyer_gate,
-    orthogonal_complement,
     signature,
     smith_normal_form,
 )
@@ -52,7 +49,6 @@ from .pi1 import (
     AbelianGroup,
     MonodromyRep,
     coinvariant_quotient,
-    kodaira_class_of,
     validate_representation,
 )
 from .surface import (

@@ -16,8 +16,9 @@ Each subcommand handler computes its result once and returns (JSON
 payload, text lines, exit code).  ``main`` alone writes stdout: the
 payload as canonical JSON under ``--json`` (sorted keys, two-space
 indent, rationals as "p/q" strings), else the text lines.  It alone
-maps invalid input to exit 1.  Exit codes: 0 success, 1 invalid input,
-2 exhausted search or detected sweep inconsistency.
+maps invalid input, usage errors included, to exit 1 and one `error:`
+line.  Exit codes: 0 success, 1 invalid input, 2 exhausted search or
+detected sweep inconsistency.
 
 Configuration files are JSON with exactly one of:
 
@@ -462,8 +463,15 @@ def _leaf(parent, name: str, help: str, func, *positionals: str, **options: dict
     p.set_defaults(func=func)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of exiting 2; subparsers share the class."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3pi1",
         description=(
             "Exact-arithmetic finiteness trichotomy for fundamental groups "
@@ -509,10 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, lines, code = args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     with _exact_digits():

@@ -3,16 +3,14 @@
 A Du Val singularity is a quotient C^2/G for a finite subgroup G of
 SL(2,C).  Its minimal resolution replaces the point by a configuration
 of (-2)-curves whose dual graph is a Dynkin diagram of type A_n,
-D_n (n >= 4), E_6, E_7 or E_8.  Each type carries three integers used
+D_n (n >= 4), E_6, E_7 or E_8.  Each type carries two integers used
 throughout the pipeline:
 
 * rank n: the number of exceptional curves,
 * delta: the order of the local fundamental group G
   (A_n: cyclic of order n+1; D_n: binary dihedral of order 4(n-2);
   E_6/E_7/E_8: binary tetrahedral/octahedral/icosahedral of orders
-  24/48/120),
-* the determinant of the Cartan matrix (A_n: n+1; D_n: 4; E_6: 3;
-  E_7: 2; E_8: 1).
+  24/48/120).
 
 The delta table is validated in the test suite by brute-force closure
 enumeration of the corresponding subgroups of SU(2) with exact
@@ -33,12 +31,10 @@ __all__ = [
     "NotAdeError",
     "local_euler_contribution",
     "recognize_ade",
-    "enumerate_ade_configs",
 ]
 
 _LABEL_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 _E_DELTA = {6: 24, 7: 48, 8: 120}
-_E_CARTAN_DET = {6: 3, 7: 2, 8: 1}
 
 
 class NotAdeError(ValueError):
@@ -77,14 +73,6 @@ class DuValType(namedtuple("DuValType", "kind n")):
         if self.kind == "D":
             return 4 * (self.n - 2)
         return _E_DELTA[self.n]
-
-    @property
-    def cartan_det(self) -> int:
-        if self.kind == "A":
-            return self.n + 1
-        if self.kind == "D":
-            return 4
-        return _E_CARTAN_DET[self.n]
 
     @property
     def label(self) -> str:
@@ -152,9 +140,6 @@ class AdeConfig(namedtuple("AdeConfig", "entries")):
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.entries)
-
-    def __add__(self, other: "AdeConfig") -> "AdeConfig":
-        return AdeConfig(self.entries + other.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -256,15 +241,6 @@ def recognize_ade(
     return sorted(types)
 
 
-def _all_types_of_rank(n: int) -> list[DuValType]:
-    out = [DuValType("A", n)]
-    if n >= 4:
-        out.append(DuValType("D", n))
-    if n in (6, 7, 8):
-        out.append(DuValType("E", n))
-    return out
-
-
 def _multisets(
     items: Sequence, weights: Sequence[int], budget: int
 ) -> Iterator[tuple[list[tuple], int]]:
@@ -295,14 +271,3 @@ def _multisets(
 
     return rec(0, budget)
 
-
-def enumerate_ade_configs(max_rank: int) -> Iterator[AdeConfig]:
-    """Yield every ADE multiset with total rank <= max_rank, once each.
-
-    The empty configuration comes first.  Enumeration is deterministic:
-    the multisets of the types sorted by rank, in the walk order of
-    `_multisets`.
-    """
-    types = [t for n in range(1, max_rank + 1) for t in _all_types_of_rank(n)]
-    for parts, _ in _multisets(types, [t.rank for t in types], max_rank):
-        yield AdeConfig(tuple(t for t, count in parts for _ in range(count)))

@@ -51,7 +51,6 @@ __all__ = [
     "DecorationError",
     "UnknownComponent",
     "FullSupportRemoved",
-    "NotAdeRemovedSet",
     "EulerSumMismatch",
     "fiber_data",
     "validate_decoration",
@@ -81,10 +80,6 @@ class UnknownComponent(DecorationError):
 
 
 class FullSupportRemoved(DecorationError):
-    pass
-
-
-class NotAdeRemovedSet(DecorationError):
     pass
 
 
@@ -168,12 +163,6 @@ class FiberData(namedtuple("FiberData", "fiber components dual_graph monodromy e
     def component_ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.components)
 
-    def multiplicity(self, cid: str) -> int:
-        for c, m in self.components:
-            if c == cid:
-                return m
-        raise KeyError(cid)
-
 
 def _monodromy(t: KodairaType) -> Mat2:
     if t.base == "I":
@@ -256,7 +245,9 @@ def _build_fiber(t: KodairaType) -> FiberData:
     )
 
 
-@lru_cache(maxsize=None)
+# a sweep reads the three star tables; `kodaira info` builds I_n and I*_n
+# tables of up to 10^5 components, so only the most recent few are kept
+@lru_cache(maxsize=32)
 def fiber_data(t: KodairaType) -> FiberData:
     """Canonical component/multiplicity/monodromy data for a fiber type."""
     return _build_fiber(t)
@@ -362,12 +353,9 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     costs O(r log r) for r removed ids, whatever n is; with nothing
     removed it is valid with m = 1, since every fiber type has a
     component of multiplicity 1 (the tests check this against the
-    tables).
-
-    Every fiber's dual graph is an affine Dynkin diagram, and an affine
-    Dynkin diagram less any vertex is a disjoint union of finite ADE
-    diagrams, so every proper removed set is ADE: `NotAdeRemovedSet`
-    cannot be raised here, and is kept for callers that catch it.
+    tables).  Every fiber's dual graph is an affine Dynkin diagram, and
+    an affine Dynkin diagram less any vertex is a disjoint union of
+    finite ADE diagrams, so every proper removed set is ADE.
     """
     if not d.removed:
         return DecorationSummary(decoration=d, m=1, removed_config=_NO_CONFIG)

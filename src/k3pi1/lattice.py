@@ -2,9 +2,9 @@
 
 Smith normal form with unimodular transforms, Gram matrices of ADE
 configurations and of the rank-22 even unimodular lattice of signature
-(3,19), inertia signatures by rational congruence, saturated orthogonal
-complements, and bounded search for isotropic vectors (the evidence
-side of Meyer's theorem on indefinite forms of rank >= 5).
+(3,19), inertia signatures by rational congruence, and bounded search
+for isotropic vectors (the evidence side of Meyer's theorem on
+indefinite forms of rank >= 5).
 
 No floating point is used anywhere: matrices are Python integers, and
 one congruence diagonaliser over Fraction gives both the signature and
@@ -30,7 +30,6 @@ __all__ = [
     "gram_of_config",
     "k3_gram",
     "signature",
-    "orthogonal_complement",
     "isotropic_search",
     "meyer_gate",
 ]
@@ -92,10 +91,6 @@ class SnfResult(namedtuple("SnfResult", "u d v")):
         m = len(self.d)
         n = len(self.d[0]) if m else 0
         return tuple(self.d[i][i] for i in range(min(m, n)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x)
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
@@ -383,34 +378,6 @@ def _anisotropic(pivots: list[Fraction]) -> bool:
                 or n == 4 and square and eps != _hilbert(-1, -1, p)):
             return True
     return False
-
-
-def orthogonal_complement(
-    ambient: IntegerGram, vectors: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Saturated integral basis of {x : x . v = 0 for all given v}.
-
-    The pairing matrix rows are v^T G; its kernel is computed through
-    the Smith normal form, so the returned basis spans a primitive
-    sublattice.  An empty vector list returns the standard basis.
-    """
-    n = ambient.dim
-    vecs = [list(map(int, v)) for v in vectors]
-    for v in vecs:
-        if len(v) != n:
-            raise ValueError("vector dimension does not match the ambient lattice")
-    if not vecs:
-        return tuple(tuple(row) for row in _identity(n))
-    pairing = [
-        [sum(v[i] * ambient.rows[i][j] for i in range(n)) for j in range(n)]
-        for v in vecs
-    ]
-    snf = smith_normal_form(pairing)
-    rank = snf.rank
-    basis = []
-    for j in range(rank, n):
-        basis.append(tuple(snf.v[i][j] for i in range(n)))
-    return tuple(basis)
 
 
 def _value_order(bound: int) -> Iterator[int]:

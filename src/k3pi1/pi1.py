@@ -33,7 +33,6 @@ __all__ = [
     "DetNotOne",
     "ProductNotIdentity",
     "ClassMismatch",
-    "kodaira_class_of",
     "validate_representation",
     "coinvariant_quotient",
 ]
@@ -116,15 +115,6 @@ def _class_of(t: Mat2) -> MonodromyClass:
     if tr == 0:
         return MonodromyClass.ORDER_FOUR
     return MonodromyClass.ORDER_THREE
-
-
-def kodaira_class_of(t: Mat2) -> MonodromyClass:
-    """Trace/order class bucket of a determinant-one integer matrix."""
-    t = as_mat2(t)
-    (a, b), (c, d) = t
-    if a * d - b * c != 1:
-        raise ValueError(f"matrix has determinant {_int_text(a * d - b * c)}, expected 1")
-    return _class_of(t)
 
 
 class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):

@@ -13,6 +13,10 @@ library so the two sides of each check share no code:
   as three separate passes (determinants, product, declared classes),
 * Todd-Coxeter coset enumeration, used to validate the orbifold group
   orders,
+* the Du Val types of each rank with their Cartan determinants, and
+  every multiset of them within a rank budget,
+* bare `analyze` (rank, orbifold Euler number from a delta table of
+  its own, rank gate and verdict),
 * the generating function counting sweep classes,
 * the cone-order signatures within an Euler budget, from the smallest
   Euler number of an outcome with each cone order.
@@ -564,3 +568,56 @@ def cone_signatures_by_cost(min_euler, budget: int) -> dict:
 
     rec(0, [], 0)
     return found
+
+
+# ----------------------------------------------------------------------
+# Du Val types and bare input
+
+
+def ade_types(max_rank: int) -> list[tuple[str, int]]:
+    """The Du Val types (kind, n) of rank 1..max_rank, by rank, then A, D, E."""
+    return [
+        (kind, n)
+        for n in range(1, max_rank + 1)
+        for kind in "ADE"
+        if kind == "A" or kind == "D" and n >= 4 or kind == "E" and 6 <= n <= 8
+    ]
+
+
+def cartan_det(kind: str, n: int) -> int:
+    """Determinant of the Cartan matrix of a Du Val type, from the
+    classical table: A_n n + 1, D_n 4, E_6 3, E_7 2, E_8 1."""
+    return {"A": n + 1, "D": 4, "E": 9 - n}[kind]
+
+
+def ade_multisets(max_rank: int):
+    """Every multiset of Du Val types with total rank <= max_rank, once
+    each, as a sorted tuple of (kind, n) pairs; the empty one first."""
+    types = ade_types(max_rank)
+
+    def rec(start, budget, chosen):
+        yield tuple(sorted(chosen))
+        for idx in range(start, len(types)):
+            if types[idx][1] <= budget:
+                yield from rec(idx, budget - types[idx][1], chosen + [types[idx]])
+
+    yield from rec(0, max_rank, [])
+
+
+def du_val_delta(kind: str, n: int) -> int:
+    """Order of the local fundamental group: cyclic n + 1, binary
+    dihedral 4(n - 2), binary tetrahedral, octahedral, icosahedral."""
+    return {"A": n + 1, "D": 4 * (n - 2), "E": {6: 24, 7: 48, 8: 120}.get(n)}[kind]
+
+
+def bare_analysis(types) -> tuple[int, Fraction, bool, str | None]:
+    """(r, e_orb, rank gate passes, verdict) of bare ADE input.
+
+    e_orb = 24 - sum(n + 1 - 1/delta); r <= 15 forces a finite group,
+    otherwise e_orb = 0 means a torus cover and anything else is left
+    undecided (None)."""
+    r = sum(n for _, n in types)
+    e_orb = 24 - sum(n + 1 - Fraction(1, du_val_delta(kind, n)) for kind, n in types)
+    passes = r <= 15
+    verdict = "FiniteFundamentalGroup" if passes else "TorusCover" if e_orb == 0 else None
+    return r, e_orb, passes, verdict

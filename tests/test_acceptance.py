@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from k3pi1.dynkin import AdeConfig, enumerate_ade_configs
+from k3pi1.dynkin import AdeConfig, DuValType
 from k3pi1.kodaira import Decoration, KodairaType, fiber_data
 from k3pi1.lattice import (
     IntegerGram,
@@ -30,6 +30,7 @@ from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep, coinvariant_quotient
 from k3pi1.surface import NormalK3Input, analyze, orbifold_euler_number, trichotomy_sweep
 
 from oracles import (
+    ade_multisets,
     det_cofactor,
     evaluate_form,
     group_order_oracle,
@@ -67,7 +68,8 @@ def test_criterion_1_low_rank_euler_sweep():
         minimum = None
         minimum_configs = []
         count = 0
-        for config in enumerate_ade_configs(15):
+        for pieces in ade_multisets(15):
+            config = AdeConfig(DuValType(*p) for p in pieces)
             count += 1
             e = orbifold_euler_number(config)
             assert e > 0, f"nonpositive orbifold Euler number at {config}"

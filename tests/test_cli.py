@@ -301,6 +301,19 @@ def test_invalid_config_errors_name_the_field(tmp_path):
     assert err.startswith("error: monodromy[0].declared:")
 
 
+def test_usage_errors_exit_1_with_one_error_line():
+    # exit 2 is kept for an exhausted search or a sweep inconsistency
+    matrix = str(FIXTURES / "u_matrix.txt")
+    cases = {
+        (): "the following arguments are required: command",
+        ("lattice",): "the following arguments are required: lattice_command",
+        ("lattice", "isotropic", matrix, "--bound", "abc"):
+            "argument --bound: invalid int value: 'abc'",
+    }
+    for argv, message in cases.items():
+        assert run_cli(*argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_unreadable_input_files_exit_1_naming_the_file(tmp_path):
     bad = tmp_path / "bad.json"
     cases = [

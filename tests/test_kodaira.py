@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from k3pi1.dynkin import AdeConfig, NotAdeError, recognize_ade
 from k3pi1.kodaira import (
     Decoration,
+    DecorationError,
     DecorationSummary,
     EulerSumMismatch,
     FullSupportRemoved,
     KodairaType,
-    NotAdeRemovedSet,
     UnknownComponent,
     decoration_outcomes,
     fiber_data,
@@ -26,6 +26,12 @@ from k3pi1.kodaira import (
 from oracles import mat2_power_order
 
 I = KodairaType.parse
+
+
+class NotAdeRemovedSet(DecorationError):
+    """A removed set whose induced graph is no union of ADE diagrams;
+    the graph search below would raise it, `validate_decoration` never
+    needs to (every proper removed set of a fiber is ADE)."""
 
 
 def _graph_decoration(d):
@@ -181,7 +187,7 @@ def test_multiplicity_vector_annihilates_intersection_matrix():
         for u, v, w in data.dual_graph:
             mat[idx[u]][idx[v]] += w
             mat[idx[v]][idx[u]] += w
-        mult = [data.multiplicity(c) for c in ids]
+        mult = [m for _, m in data.components]
         for i in range(n):
             assert sum(mat[i][j] * mult[j] for j in range(n)) == 0, t.label
 
@@ -245,6 +251,15 @@ def test_undecorated_huge_fiber_is_rejected_without_building_its_table():
     with pytest.raises(UnknownComponent, match="c1000000000000"):
         validate_decoration(cycle._replace(removed={"c1000000000000"}))
     assert fiber_data.cache_info().currsize == 0
+
+
+def test_fiber_cache_keeps_at_most_its_bound():
+    # `kodaira info` builds one table per label, of up to 10^5 components
+    fiber_data.cache_clear()
+    for n in range(1, 101):
+        fiber_data(KodairaType("I", n))
+    info = fiber_data.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 100
 
 
 def test_all_proper_removed_sets_classify(per_type_limit=10):

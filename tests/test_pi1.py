@@ -19,7 +19,6 @@ from k3pi1.pi1 import (
     ProductNotIdentity,
     RepresentationError,
     coinvariant_quotient,
-    kodaira_class_of,
     validate_representation,
 )
 
@@ -83,16 +82,6 @@ def test_validate_declared_classes(monkeypatch):
     )
 
 
-def test_kodaira_class_of_examples():
-    assert kodaira_class_of(((1, 5), (0, 1))) is MonodromyClass.UNIPOTENT
-    assert kodaira_class_of(((0, -1), (1, 0))) is MonodromyClass.ORDER_FOUR
-    assert kodaira_class_of(((2, 1), (1, 1))) is MonodromyClass.UNRECOGNIZED
-    assert kodaira_class_of(IDENTITY) is MonodromyClass.IDENTITY
-    assert kodaira_class_of(MINUS_IDENTITY) is MonodromyClass.MINUS_IDENTITY
-    with pytest.raises(ValueError):
-        kodaira_class_of(((1, 0), (0, 2)))
-
-
 def test_order_four_matrix_squares_to_minus_identity():
     t = ((0, -1), (1, 0))
     assert mat2_mul(t, t) == MINUS_IDENTITY
@@ -114,8 +103,14 @@ def test_canonical_fiber_matrices_hit_their_buckets():
         "II*": MonodromyClass.ORDER_SIX,
     }
     for label, bucket in buckets.items():
-        t = KodairaType.parse(label)
-        assert kodaira_class_of(fiber_data(t).monodromy) is bucket, label
+        (a, b), (c, d) = t = fiber_data(KodairaType.parse(label)).monodromy
+        inverse = ((d, -b), (-c, a))
+        assert validate_representation(MonodromyRep((t, inverse)))[0] is bucket, label
+    assert validate_representation(MonodromyRep((IDENTITY, IDENTITY))) == (
+        MonodromyClass.IDENTITY, MonodromyClass.IDENTITY,
+    )
+    hyperbolic = MonodromyRep((((2, 1), (1, 1)), ((1, -1), (-1, 2))))
+    assert validate_representation(hyperbolic) == (MonodromyClass.UNRECOGNIZED,) * 2
 
 
 def test_quotient_identity_matrix_kills_nothing():

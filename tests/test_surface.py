@@ -5,9 +5,11 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from k3pi1 import kodaira
-from k3pi1.dynkin import AdeConfig, enumerate_ade_configs
+from k3pi1.dynkin import AdeConfig, DuValType
 from k3pi1.kodaira import Decoration, KodairaType, decoration_outcomes, fiber_data
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
 from k3pi1.surface import (
@@ -19,7 +21,7 @@ from k3pi1.surface import (
     trichotomy_sweep,
 )
 
-from oracles import cone_signatures_by_cost, gf_total
+from oracles import ade_multisets, ade_types, bare_analysis, cone_signatures_by_cost, gf_total
 
 K = KodairaType.parse
 
@@ -91,7 +93,8 @@ def test_low_rank_sweep_minimum_three_halves():
     best = None
     best_config = None
     count = 0
-    for config in enumerate_ade_configs(15):
+    for pieces in ade_multisets(15):
+        config = AdeConfig(DuValType(*p) for p in pieces)
         count += 1
         e = orbifold_euler_number(config)
         assert e > 0, config
@@ -156,6 +159,28 @@ def test_analyze_bare_inputs():
     # r >= 16 with positive orbifold Euler number: not decided
     report = analyze(NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 8 + ["E8"])))
     assert report.verdict is None
+
+
+def test_bare_analyze_matches_the_oracle():
+    # drawn label multisets, checked end to end against a pipeline that
+    # shares no code with the package; the draws must reach r >= 16 with
+    # e_orb of each sign, and r <= 15
+    seen = set()
+
+    @seed(20_261_019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(ade_types(20)), max_size=20))
+    @example([("A", 1)] * 16)
+    @example([("A", 1)] * 8 + [("E", 8)])
+    def check(pieces):
+        report = analyze(NormalK3Input.bare(AdeConfig.from_labels(f"{k}{n}" for k, n in pieces)))
+        r, e_orb, passes, verdict = bare_analysis(pieces)
+        assert (report.r, report.e_orb, report.rank_gate_passes) == (r, e_orb, passes)
+        assert (report.verdict and report.verdict.kind) == verdict
+        seen.add((r >= 16, (e_orb > 0) - (e_orb < 0)))
+
+    check()
+    assert seen == {(False, 1), (True, 1), (True, 0), (True, -1)}
 
 
 def test_analyze_attaches_quotient_on_trivial_orbifold():

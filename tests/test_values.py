@@ -185,8 +185,6 @@ def test_normalisation():
         A1, A1, DuValType("A", 10), D4,
     )
     assert AdeConfig([D4, A1]) == CONFIG
-    added = AdeConfig((D4,)) + AdeConfig((A1,))
-    assert type(added) is AdeConfig and added.entries == (A1, D4)
 
     for removed in (["t1", "t2"], {"t1", "t2"}, ("t2", "t1", "t2")):
         d = Decoration(I0S, removed)
