@@ -32,7 +32,6 @@ from .lattice import (
     IntegerGram,
     MeyerReport,
     SnfResult,
-    gram_of_config,
     isotropic_search,
     k3_gram,
     meyer_gate,

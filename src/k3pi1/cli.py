@@ -44,17 +44,11 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from math import prod
 
 from .dynkin import AdeConfig
 from .kodaira import Decoration, KodairaType, fiber_data
-from .lattice import (
-    IntegerGram,
-    determinant,
-    k3_gram,
-    meyer_gate,
-    signature,
-    smith_normal_form,
-)
+from .lattice import IntegerGram, _inertia, _pivots, k3_gram, meyer_gate, smith_normal_form
 from .orbifold import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -355,8 +349,11 @@ def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
 
 def _cmd_lattice_k3(args) -> tuple[dict, list[str], int]:
     gram = k3_gram()
-    det = determinant(gram.rows)
-    pos, neg, null = signature(gram)
+    # every step of the congruence has determinant +-1, so the pivots
+    # multiply to the determinant, or it is 0 when a pivot is missing
+    pivots, _ = _pivots(gram.rows)
+    det = int(prod(pivots)) if len(pivots) == gram.dim else 0
+    pos, neg, null = _inertia(pivots, gram.dim)
     payload = {
         "dim": gram.dim,
         "even": gram.is_even,

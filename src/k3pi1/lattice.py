@@ -1,14 +1,14 @@
 """Exact integer lattice toolkit.
 
-Smith normal form with unimodular transforms, Gram matrices of ADE
-configurations and of the rank-22 even unimodular lattice of signature
-(3,19), inertia signatures by rational congruence, and bounded search
-for isotropic vectors (the evidence side of Meyer's theorem on
-indefinite forms of rank >= 5).
+Smith normal form with unimodular transforms, the Gram matrix of the
+rank-22 even unimodular lattice of signature (3,19), inertia signatures
+by rational congruence, and bounded search for isotropic vectors (the
+evidence side of Meyer's theorem on indefinite forms of rank >= 5).
 
 No floating point is used anywhere: matrices are Python integers, and
-one congruence diagonaliser over Fraction gives both the signature and
-the pivots of the search's anisotropy test.
+one congruence diagonaliser over Fraction gives the signature, the
+determinant (the product of its pivots) and the pivots of the search's
+anisotropy test.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
 
-from .dynkin import AdeConfig, DuValType
+from .dynkin import DuValType
 
 __all__ = [
     "IntegerGram",
     "SnfResult",
     "MeyerReport",
     "smith_normal_form",
-    "determinant",
-    "gram_of_config",
     "k3_gram",
     "signature",
     "isotropic_search",
@@ -35,19 +33,6 @@ __all__ = [
 ]
 
 Matrix = Sequence[Sequence[int]]
-
-
-def _copy_int_matrix(a: Matrix) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in a]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 class IntegerGram(namedtuple("IntegerGram", "rows")):
@@ -99,127 +84,77 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     Returns (U, D, V) with U A V = D, |det U| = |det V| = 1, and
     D diagonal, nonnegative, with d1 | d2 | ... followed by zeros.
     """
-    m_rows = _copy_int_matrix(a)
-    m = len(m_rows)
-    n = len(m_rows[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-    mat = m_rows
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("ragged matrix")
+    # [A | U] over V: an operation on the first m rows moves A and U, one
+    # on the first n columns moves A and V.  Rows of A above the pivot
+    # are zero from its column on, so column operations start there.
+    mat = [[*map(int, row)] + [0] * m for row in a] + [[0] * n for _ in range(n)]
+    for i in range(m):
+        mat[i][n + i] = 1
+    for i in range(n):
+        mat[m + i][i] = 1
 
-    def row_op(i: int, k: int, q: int) -> None:
-        mi, mk = mat[i], mat[k]
-        for j in range(n):
-            mi[j] -= q * mk[j]
-        ui, uk = u[i], u[k]
-        for j in range(m):
-            ui[j] -= q * uk[j]
-
-    def col_op(j: int, k: int, q: int) -> None:
-        for r in range(m):
-            mat[r][j] -= q * mat[r][k]
-        for r in range(n):
-            v[r][j] -= q * v[r][k]
-
-    def row_swap(i: int, k: int) -> None:
-        mat[i], mat[k] = mat[k], mat[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in range(m):
-            mat[r][j], mat[r][k] = mat[r][k], mat[r][j]
-        for r in range(n):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
+    def col_swap(t: int, j: int) -> None:
+        for row in mat[t:]:
+            row[t], row[j] = row[j], row[t]
 
     for t in range(min(m, n)):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best = None
+        # smallest nonzero entry of the trailing block becomes the pivot,
+        # the first in row-major order among equals
+        best, size = None, 0
         for i in range(t, m):
+            row = mat[i]
             for j in range(t, n):
-                x = mat[i][j]
-                if x and (best is None or abs(x) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (x < size or not size):
+                    best, size = (i, j), x
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
+        i, j = best
+        mat[t], mat[i] = mat[i], mat[t]
+        if j != t:
+            col_swap(t, j)
 
         while True:
-            restart = False
+            p = mat[t]
             for i in range(t + 1, m):
-                if mat[i][t] == 0:
-                    continue
-                row_op(i, t, mat[i][t] // mat[t][t])
                 if mat[i][t]:
-                    row_swap(i, t)  # strictly smaller pivot
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if mat[t][j] == 0:
-                    continue
-                col_op(j, t, mat[t][j] // mat[t][t])
-                if mat[t][j]:
-                    col_swap(j, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            d = mat[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if mat[i][j] % d:
-                        bad = i
+                    q = mat[i][t] // p[t]
+                    mat[i] = row = [x - q * y for x, y in zip(mat[i], p)]
+                    if row[t]:  # a strictly smaller pivot: restart
+                        mat[t], mat[i] = row, p
                         break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # pull the offending row into row t
+            else:
+                for j in range(t + 1, n):
+                    if p[j]:
+                        q = p[j] // p[t]
+                        for row in mat[t:]:
+                            row[j] -= q * row[t]
+                        if p[j]:
+                            col_swap(t, j)
+                            break
+                else:
+                    # pull the first row with an entry the pivot does not divide
+                    # into row t, or the pivot is done
+                    d = p[t]
+                    bad = (i for i in range(t + 1, m) for x in mat[i][t + 1 : n] if x % d)
+                    bad = next(bad, None)
+                    if bad is None:
+                        break
+                    mat[t] = [x + y for x, y in zip(p, mat[bad])]
 
     for t in range(min(m, n)):
         if mat[t][t] < 0:
-            for j in range(n):
-                mat[t][j] = -mat[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+            mat[t] = [-x for x in mat[t]]
 
     return SnfResult(
-        u=tuple(tuple(row) for row in u),
-        d=tuple(tuple(row) for row in mat),
-        v=tuple(tuple(row) for row in v),
+        u=tuple(tuple(row[n:]) for row in mat[:m]),
+        d=tuple(tuple(row[:n]) for row in mat[:m]),
+        v=tuple(tuple(row) for row in mat[m:]),
     )
-
-
-def determinant(a: Matrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    mat = _copy_int_matrix(a)
-    n = len(mat)
-    if n and len(mat[0]) != n:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * pivot - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = pivot
-    return sign * mat[n - 1][n - 1]
 
 
 def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
@@ -233,20 +168,6 @@ def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
                 out[offset + i][offset + j] = b[i][j]
         offset += k
     return out
-
-
-def gram_of_config(c: AdeConfig) -> IntegerGram:
-    """Negated block-diagonal Cartan matrix of an ADE configuration.
-
-    This is the Gram matrix of the sublattice spanned by the
-    exceptional (-2)-curves; it is negative definite of rank r with
-    |det| the product of the Cartan determinants.
-    """
-    blocks = []
-    for t in c.entries:
-        cart = t.cartan_matrix()
-        blocks.append([[-x for x in row] for row in cart])
-    return IntegerGram.from_rows(_block_diag(blocks))
 
 
 _U_BLOCK = [[0, 1], [1, 0]]

@@ -6,15 +6,17 @@ library so the two sides of each check share no code:
 * exact cyclotomic arithmetic and closure enumeration of finite
   subgroups of SU(2), used to validate the Du Val delta table,
 * cofactor-expansion determinants, k x k minor gcds and the plain
-  matrix product, used to validate Smith normal forms,
+  matrix product, used to validate Smith normal forms, and a
+  determinant by Fraction elimination for the larger matrices,
 * full-grid isotropic vector search without pruning, and the value
   x.G.x of a form,
 * 2x2 integer matrix powering, and the monodromy representation check
   as three separate passes (determinants, product, declared classes),
 * Todd-Coxeter coset enumeration, used to validate the orbifold group
   orders,
-* the Du Val types of each rank with their Cartan determinants, and
-  every multiset of them within a rank budget,
+* the Du Val types of each rank with their Cartan determinants, the
+  negated Cartan Gram matrix of a list of them, and every multiset of
+  them within a rank budget,
 * bare `analyze` (rank, orbifold Euler number from a delta table of
   its own, rank gate and verdict),
 * the generating function counting sweep classes,
@@ -264,6 +266,29 @@ def det_cofactor(rows) -> int:
         ]
         total += (-1) ** j * a * det_cofactor(minor)
     return total
+
+
+def det_exact(rows) -> int:
+    """Determinant by Gaussian elimination over Fraction, swapping in the
+    first row with a nonzero entry when a pivot vanishes."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for k in range(n):
+        i = next((i for i in range(k, n) if mat[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            mat[k], mat[i] = mat[i], mat[k]
+            det = -det
+        det *= mat[k][k]
+        for i in range(k + 1, n):
+            f = mat[i][k] / mat[k][k]
+            if f:
+                for j in range(k, n):
+                    mat[i][j] -= f * mat[k][j]
+    assert det.denominator == 1
+    return int(det)
 
 
 def minors_gcd(rows, k: int) -> int:
@@ -588,6 +613,25 @@ def cartan_det(kind: str, n: int) -> int:
     """Determinant of the Cartan matrix of a Du Val type, from the
     classical table: A_n n + 1, D_n 4, E_6 3, E_7 2, E_8 1."""
     return {"A": n + 1, "D": 4, "E": 9 - n}[kind]
+
+
+def neg_cartan_gram(types) -> list[list[int]]:
+    """Block-diagonal negated Cartan matrix of Du Val types (kind, n):
+    -2 on the diagonal and 1 per edge of each Dynkin diagram, which is
+    the path 0..n-2 with vertex n-1 hung off vertex n-2 (A_n), n-3 (D_n)
+    or 2 (E_n)."""
+    size = sum(n for _, n in types)
+    out = [[0] * size for _ in range(size)]
+    start = 0
+    for kind, n in types:
+        branch = {"A": n - 2, "D": n - 3, "E": 2}[kind]
+        edges = [(i, i + 1) for i in range(n - 2)] + ([(branch, n - 1)] if n > 1 else [])
+        for i in range(n):
+            out[start + i][start + i] = -2
+        for i, j in edges:
+            out[start + i][start + j] = out[start + j][start + i] = 1
+        start += n
+    return out
 
 
 def ade_multisets(max_rank: int):

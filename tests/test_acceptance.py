@@ -18,8 +18,6 @@ from k3pi1.dynkin import AdeConfig, DuValType
 from k3pi1.kodaira import Decoration, KodairaType, fiber_data
 from k3pi1.lattice import (
     IntegerGram,
-    determinant,
-    gram_of_config,
     k3_gram,
     meyer_gate,
     signature,
@@ -32,12 +30,14 @@ from k3pi1.surface import NormalK3Input, analyze, orbifold_euler_number, trichot
 from oracles import (
     ade_multisets,
     det_cofactor,
+    det_exact,
     evaluate_form,
     group_order_oracle,
     mat2_mul,
     mat2_power_order,
     mat_mul,
     minors_gcd,
+    neg_cartan_gram,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -221,8 +221,8 @@ def test_criterion_6_meyer_search():
 
         for definite in [
             IntegerGram.from_rows([[2, 0], [0, 2]]),
-            gram_of_config(AdeConfig.from_labels(["E8"])),
-            gram_of_config(AdeConfig.from_labels(["D4", "A2"])),
+            IntegerGram.from_rows(neg_cartan_gram([("E", 8)])),
+            IntegerGram.from_rows(neg_cartan_gram([("D", 4), ("A", 2)])),
         ]:
             report = meyer_gate(definite, 50)
             assert report.exhausted
@@ -236,7 +236,7 @@ def test_criterion_7_k3_lattice():
         g = k3_gram()
         assert g.dim == 22
         assert g.is_even
-        assert determinant(g.rows) == -1
+        assert det_exact(g.rows) == -1
         assert signature(g) == (3, 19, 0)
 
 

@@ -464,7 +464,7 @@ _documents = st.one_of(
 
 
 @seed(20_250_301)
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=2000, database=None)
 @given(document=_documents, bound=st.integers(-1, 3))
 def test_loaders_end_with_exit_0_1_or_2_and_one_error_line(document, bound):
     commands = [["analyze"], ["euler"], ["pi1", "quotient"], ["lattice", "snf"]]

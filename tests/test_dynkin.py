@@ -21,6 +21,7 @@ from oracles import (
     binary_group_order,
     cartan_det,
     det_cofactor,
+    det_exact,
     gf_total,
 )
 
@@ -76,8 +77,8 @@ def test_cartan_matrices_positive_definite_with_expected_det():
         # leading principal minors all positive, full det matches table
         for k in range(1, t.n + 1):
             sub = [row[:k] for row in mat[:k]]
-            assert det_cofactor(sub) > 0, t.label
-        assert det_cofactor(mat) == cartan_det(t.kind, t.n), t.label
+            assert det_exact(sub) > 0, t.label
+        assert det_exact(mat) == cartan_det(t.kind, t.n), t.label
 
 
 def test_recognize_single_vertex():
@@ -181,7 +182,7 @@ def _is_positive_definite_cartan(comp, adj):
         for w in adj[v]:
             cartan[index[v]][index[w]] = -1
     for size in range(1, k + 1):
-        if det_cofactor([row[:size] for row in cartan[:size]]) <= 0:
+        if det_exact([row[:size] for row in cartan[:size]]) <= 0:
             return False
     return True
 

@@ -1,13 +1,15 @@
 """Tests for the integer lattice toolkit."""
 
+import hashlib
 import random
 import time
+from math import prod
 
-from k3pi1.dynkin import AdeConfig
+import pytest
+
 from k3pi1.lattice import (
     IntegerGram,
-    determinant,
-    gram_of_config,
+    _pivots,
     isotropic_search,
     k3_gram,
     meyer_gate,
@@ -15,7 +17,16 @@ from k3pi1.lattice import (
     smith_normal_form,
 )
 
-from oracles import brute_isotropic, cartan_det, det_cofactor, evaluate_form, mat_mul, minors_gcd
+from oracles import (
+    brute_isotropic,
+    cartan_det,
+    det_cofactor,
+    det_exact,
+    evaluate_form,
+    mat_mul,
+    minors_gcd,
+    neg_cartan_gram,
+)
 
 
 def _check_snf(a):
@@ -76,44 +87,100 @@ def test_snf_random_matrices_against_minor_gcd_oracle():
         _check_snf(a)
 
 
+def _snf_cases():
+    """Seeded matrices of every shape 0..7 x 0..7 (a 0-row matrix is []),
+    entries up to 3, 1000 and 10**12, each with its own share of zeros."""
+    rng = random.Random(4242)
+    for m in range(8):
+        for n in range(8):
+            for scale in (3, 1000, 10**12):
+                for _ in range(3):
+                    zeros = rng.random()
+                    yield [
+                        [0 if rng.random() < zeros else rng.randint(-scale, scale) for _ in range(n)]
+                        for _ in range(m)
+                    ]
+
+
+# SHA-256 over (A, U, D, V) of every matrix of _snf_cases(), in order:
+# the elimination may change, the transforms it returns not
+SNF_SHA256 = "eb28649298d39b0257edf050bc2fa55f76c5f7a654efe0b45614be8bc51de6d9"
+
+
+def test_smith_forms_are_pinned():
+    digest = hashlib.sha256()
+    for a in _snf_cases():
+        res = smith_normal_form(a)
+        digest.update(repr((a, res.u, res.d, res.v)).encode())
+    assert digest.hexdigest() == SNF_SHA256
+
+
+def test_snf_rejects_ragged_matrices():
+    for a in ([[1, 2], [3]], [[1], []], [[], [1]]):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            smith_normal_form(a)
+
+
 def test_determinant_matches_cofactor_oracle():
     rng = random.Random(7)
     for _ in range(120):
         n = rng.randint(0, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(a) == det_cofactor(a)
+        assert det_exact(a) == det_cofactor(a)
 
 
-def test_gram_of_config():
-    assert gram_of_config(AdeConfig.from_labels(["A1"])).rows == ((-2,),)
-    g = gram_of_config(AdeConfig.from_labels(["A2"]))
-    assert g.rows == ((-2, 1), (1, -2))
-    assert determinant(g.rows) == 3
-    assert gram_of_config(AdeConfig()).rows == ()
+def _pivot_det(rows):
+    # the congruence moves have determinant +-1: the pivots multiply to
+    # the determinant, which is 0 when one of the n pivots is missing
+    pivots, _ = _pivots(rows)
+    return prod(pivots) if len(pivots) == len(rows) else 0
 
 
-def test_gram_of_config_negative_definite_with_product_det():
-    c = AdeConfig.from_labels(["A3", "D5", "E6", "A1"])
-    g = gram_of_config(c)
-    assert g.dim == c.rank
-    assert signature(g) == (0, c.rank, 0)
-    expected = 1
-    for t in c.entries:
-        expected *= cartan_det(t.kind, t.n)
-    assert abs(determinant(g.rows)) == expected
+def test_pivot_product_is_the_determinant():
+    rng = random.Random(2718281)
+    forms = []
+    for t in range(600):
+        n = rng.randint(2, 6)
+        rows = _random_symmetric(rng, n)
+        if t % 4 == 1:  # a zero first pivot with a nonzero one to swap in
+            rows[0][0], rows[1][1] = 0, rng.choice((1, -1)) * rng.randint(1, 5)
+        elif t % 4 == 2:  # an all-zero diagonal with a nonzero coupling: rank-2 step
+            for i in range(n):
+                rows[i][i] = 0
+            rows[0][1] = rows[1][0] = rng.choice((1, -1)) * rng.randint(1, 5)
+        elif t % 4 == 3:  # repeat coordinate 0 as a last one: singular
+            rows = [row + [row[0]] for row in rows]
+            rows.append(list(rows[0]))
+        forms.append(rows)
+    forms += [[], [[0]], [[0, 0], [0, 0]], _diag([0, 3, 0])]
+    singular = 0
+    for rows in forms:
+        det = det_exact(rows)
+        assert _pivot_det(rows) == det, rows
+        singular += det == 0
+    assert singular >= 150, singular
+    assert _pivot_det(k3_gram().rows) == -1
+
+
+def test_signature_of_negated_cartan_blocks():
+    types = [("A", 3), ("D", 5), ("E", 6), ("A", 1)]
+    g = IntegerGram.from_rows(neg_cartan_gram(types))
+    assert g.dim == 15
+    assert signature(g) == (0, 15, 0)
+    assert abs(det_exact(g.rows)) == prod(cartan_det(kind, n) for kind, n in types)
 
 
 def test_k3_gram():
     g = k3_gram()
     assert g.dim == 22
     assert g.is_even
-    assert determinant(g.rows) == -1
+    assert det_exact(g.rows) == -1
     assert signature(g) == (3, 19, 0)
 
 
 def test_signature_examples():
     assert signature(IntegerGram.from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
-    e8_neg = gram_of_config(AdeConfig.from_labels(["E8"]))
+    e8_neg = IntegerGram.from_rows(neg_cartan_gram([("E", 8)]))
     assert signature(e8_neg) == (0, 8, 0)
     assert signature(IntegerGram.from_rows([[0]])) == (0, 0, 1)
     assert signature(IntegerGram.from_rows([])) == (0, 0, 0)
