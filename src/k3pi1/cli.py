@@ -29,7 +29,8 @@ Configuration files are JSON with exactly one of:
 
 Monodromy entries may also be objects {"matrix": ..., "declared": "I3"};
 with a fibration present, undeclared entries inherit the fiber types
-and a declared label must be its fiber's type.
+and a declared label must be its fiber's type.  An object with a key
+not shown here is rejected, at every level.
 Matrix files are either a JSON array of arrays of integers or plain
 text with one whitespace-separated row per line.  Integers in JSON must
 be JSON integers; in text, ASCII digits with an optional sign.
@@ -136,6 +137,15 @@ def _load_json_file(path: str, text: str | None = None) -> object:
         raise InputError(path, "JSON nested too deeply") from exc
 
 
+def _known_keys(raw: dict, field: str, *keys: str) -> None:
+    """Reject the first key of object `raw`, in sorted order, that is not
+    one of `keys`; `field` is the object's path, "" at the top level."""
+    unknown = sorted(set(raw).difference(keys))
+    if unknown:
+        where = f"{field}.{unknown[0]}" if field else unknown[0]
+        raise InputError(where, "unknown field" if field else "unknown top-level field")
+
+
 def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
     if not isinstance(raw, list):
         raise InputError(field, "expected a list of 2x2 matrices")
@@ -147,6 +157,7 @@ def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -
         if isinstance(matrix, dict):
             if "matrix" not in matrix:
                 raise InputError(at, 'expected a "matrix" key')
+            _known_keys(matrix, at, "matrix", "declared")
             matrix, label = matrix["matrix"], matrix.get("declared")
         if (
             not isinstance(matrix, list)
@@ -176,6 +187,7 @@ def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -
 def _parse_fiber(raw: object, field: str) -> Decoration:
     if not isinstance(raw, dict) or "kodaira" not in raw:
         raise InputError(field, 'expected an object with a "kodaira" label')
+    _known_keys(raw, field, "kodaira", "n", "removed")
     label = raw["kodaira"]
     if not isinstance(label, str):
         raise InputError(f"{field}.kodaira", "label must be a string")
@@ -195,16 +207,10 @@ def load_config(path: str) -> NormalK3Input:
     raw = _load_json_file(path)
     if not isinstance(raw, dict):
         raise InputError(path, "top level must be a JSON object")
-    has_sing = "singularities" in raw
-    has_fib = "fibration" in raw
-    if has_sing == has_fib:
-        raise InputError(
-            path, 'provide exactly one of "singularities" or "fibration"'
-        )
-    unknown = set(raw) - {"singularities", "fibration", "monodromy"}
-    if unknown:
-        raise InputError(sorted(unknown)[0], "unknown top-level field")
-    if has_sing:
+    if ("singularities" in raw) == ("fibration" in raw):
+        raise InputError(path, 'provide exactly one of "singularities" or "fibration"')
+    _known_keys(raw, "", "singularities", "fibration", "monodromy")
+    if "singularities" in raw:
         if "monodromy" in raw:
             raise InputError("monodromy", "only valid together with a fibration")
         labels = raw["singularities"]
@@ -218,6 +224,7 @@ def load_config(path: str) -> NormalK3Input:
     fibration = raw["fibration"]
     if not isinstance(fibration, dict) or "fibers" not in fibration:
         raise InputError("fibration", 'expected an object with a "fibers" list')
+    _known_keys(fibration, "fibration", "fibers")
     raw_fibers = fibration["fibers"]
     if not isinstance(raw_fibers, list) or not raw_fibers:
         raise InputError("fibration.fibers", "expected a nonempty list")
@@ -262,10 +269,10 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
         ]
         if report.fibers is not None:
             for f in report.fibers:
-                removed = ", ".join(sorted(f.decoration.removed)) or "-"
+                removed = ", ".join(sorted(f.removed)) or "-"
                 lines.append(
-                    f"fiber {f.decoration.fiber.label}: removed [{removed}] "
-                    f"m = {f.m} config [{', '.join(f.removed_config.labels) or '-'}]"
+                    f"fiber {f.fiber.label}: removed [{removed}] "
+                    f"m = {f.m} config [{', '.join(f.config.labels) or '-'}]"
                 )
             lines.append(f"cone orders: {list(report.cone_orders)}")
             lines.append(f"classification: {_class_name(report.classification)}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Iterator, Sequence, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -46,7 +46,6 @@ __all__ = [
     "KodairaType",
     "FiberData",
     "Decoration",
-    "DecorationSummary",
     "DecorationOutcome",
     "DecorationError",
     "UnknownComponent",
@@ -262,10 +261,21 @@ class Decoration(namedtuple("Decoration", "fiber removed")):
         return tuple.__new__(cls, (fiber, frozenset(removed)))
 
 
-class DecorationSummary(namedtuple("DecorationSummary", "decoration m removed_config")):
-    """A validated decoration with its kept gcd m and removed ADE config."""
+class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed")):
+    """What a decoration of a fiber type gives: the gcd m of the kept
+    multiplicities and the ADE config of the removed components, with
+    the removed ids.  `validate_decoration` returns one per decoration;
+    `decoration_outcomes` lists one per (m, config) class, each with one
+    representative removed set."""
 
     __slots__ = ()
+
+
+def _outcome(t: KodairaType, key: OutcomeKey, removed: Iterable[str]) -> DecorationOutcome:
+    """The outcome record of a removed set of t from its key (m, pieces)."""
+    m, pieces = key
+    config = AdeConfig(tuple([_du_val(*p) for p in pieces])) if pieces else _NO_CONFIG
+    return DecorationOutcome(t, m, config, frozenset(removed))
 
 
 def _runs(indices: list[int]) -> list[list[int]]:
@@ -341,8 +351,8 @@ def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
     return 2 if a == b == 2 else 1, tuple(sorted(pieces))
 
 
-def validate_decoration(d: Decoration) -> DecorationSummary:
-    """Check a decoration and compute (kept gcd m, removed ADE config).
+def validate_decoration(d: Decoration) -> DecorationOutcome:
+    """Check a decoration and compute its outcome (kept gcd m, removed ADE config).
 
     The removed set must be a proper subset of the components; m is the
     gcd of the multiplicities of the kept components.  Both are read
@@ -357,35 +367,21 @@ def validate_decoration(d: Decoration) -> DecorationSummary:
     an affine Dynkin diagram less any vertex is a disjoint union of
     finite ADE diagrams, so every proper removed set is ADE.
     """
-    if not d.removed:
-        return DecorationSummary(decoration=d, m=1, removed_config=_NO_CONFIG)
-    m, pieces = _removed_key(d.fiber, d.removed)
-    return DecorationSummary(
-        decoration=d, m=m, removed_config=AdeConfig(tuple([_du_val(*p) for p in pieces]))
-    )
+    key = _removed_key(d.fiber, d.removed) if d.removed else (1, ())
+    return _outcome(d.fiber, key, d.removed)
 
 
-def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationSummary, ...]:
+def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationOutcome, ...]:
     """Validate decorations and require the fiber Euler numbers to sum to 24."""
-    summaries = tuple(validate_decoration(d) for d in fibers)
-    total = sum(s.decoration.fiber.euler for s in summaries)
+    outcomes = tuple(validate_decoration(d) for d in fibers)
+    total = sum(o.fiber.euler for o in outcomes)
     if total != K3_EULER_NUMBER:
         raise EulerSumMismatch(total)
-    return summaries
+    return outcomes
 
 
 # ----------------------------------------------------------------------
 # decoration outcome classes (used by the exhaustive trichotomy sweep)
-
-
-class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed")):
-    """One class of decorations of a fiber type.
-
-    Decorations are grouped by their observable result (m, removed
-    config); `removed` holds one representative subset.
-    """
-
-    __slots__ = ()
 
 
 def _subset_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
@@ -394,9 +390,8 @@ def _subset_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
     keys: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
         removed = [cid for k, cid in enumerate(ids) if mask >> k & 1]
-        summary = validate_decoration(Decoration(t, removed))
-        pieces = tuple((e.kind, e.n) for e in summary.removed_config.entries)
-        keys.setdefault((summary.m, pieces), removed)
+        o = validate_decoration(Decoration(t, removed))
+        keys.setdefault((o.m, tuple((e.kind, e.n) for e in o.config.entries)), removed)
     return keys
 
 
@@ -510,10 +505,7 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     and II*, with at most 9 components, are enumerated by brute force
     over subsets.
     """
-    return tuple(
-        DecorationOutcome(t, m, AdeConfig(tuple([_du_val(*p) for p in pieces])), frozenset(ids))
-        for (m, pieces), ids in sorted(_outcome_keys(t).items())
-    )
+    return tuple(_outcome(t, key, ids) for key, ids in sorted(_outcome_keys(t).items()))
 
 
 # Counting I_n and I*_n outcomes without their keys.  A removed set of

@@ -135,17 +135,22 @@ def _frac_str(x: Fraction) -> str:
 class Report(
     namedtuple(
         "Report",
-        "kind config e_orb fibers cone_orders classification verdict monodromy_quotient",
+        "config e_orb fibers cone_orders classification verdict monodromy_quotient",
         defaults=(None,) * 5,
     )
 ):
     """Everything the pipeline derives from one input.  The fields after
     `e_orb` default to None, which marks what does not apply to the input
     (the fiber data of bare input) or was not computed (the monodromy
-    quotient without a representation).  The rank, the rank gate and the
-    consistency checks are derived from the fields."""
+    quotient without a representation).  The input kind, the rank, the
+    rank gate and the consistency checks are derived from the fields."""
 
     __slots__ = ()
+
+    @property
+    def kind(self) -> str:
+        """The input kind: "bare" for singularities, "fibered" for a fibration."""
+        return "bare" if self.fibers is None else "fibered"
 
     @property
     def r(self) -> int:
@@ -177,17 +182,15 @@ class Report(
         return self.monodromy_quotient.is_trivial
 
     def to_json_dict(self) -> dict:
-        fibers = None
-        if self.fibers is not None:
-            fibers = [
-                {
-                    "kodaira": f.decoration.fiber.label,
-                    "removed": sorted(f.decoration.removed),
-                    "m": f.m,
-                    "removed_config": list(f.removed_config.labels),
-                }
-                for f in self.fibers
-            ]
+        fibers = None if self.fibers is None else [
+            {
+                "kodaira": f.fiber.label,
+                "removed": sorted(f.removed),
+                "m": f.m,
+                "removed_config": list(f.config.labels),
+            }
+            for f in self.fibers
+        ]
         return {
             "kind": self.kind,
             "r": self.r,
@@ -229,10 +232,10 @@ def analyze(input_: NormalK3Input) -> Report:
     """
     fibers = cone_orders = cls = quotient = None
     if input_.fibers is None:
-        kind, config = "bare", input_.singularities
+        config = input_.singularities
     else:
-        kind, fibers = "fibered", validate_k3_fibration(input_.fibers)
-        config = AdeConfig(p for f in fibers for p in f.removed_config.entries)
+        fibers = validate_k3_fibration(input_.fibers)
+        config = AdeConfig(p for f in fibers for p in f.config.entries)
     e_orb = orbifold_euler_number(config)
     passes = config.rank <= RANK_GATE_BOUND
     if passes and e_orb < Fraction(3, 2):
@@ -255,7 +258,6 @@ def analyze(input_: NormalK3Input) -> Report:
         verdict = _VERDICT_OF_CLASS[cls.kind]
 
     return Report(
-        kind=kind,
         config=config,
         e_orb=e_orb,
         fibers=fibers,
@@ -290,13 +292,15 @@ class SweepInstance(
         )
 
 
-class SweepResult(
-    namedtuple("SweepResult", "total counts euclidean hyperbolic violations")
-):
-    """The class total, the count per classification, the euclidean and
-    hyperbolic instances kept, and the violation lines."""
+class SweepResult(namedtuple("SweepResult", "counts euclidean hyperbolic violations")):
+    """The count per classification (`total` is their sum), the euclidean
+    and hyperbolic instances kept, and the violation lines."""
 
     __slots__ = ()
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def consistent(self) -> bool:
@@ -450,7 +454,6 @@ def trichotomy_sweep(
                 )
 
     return SweepResult(
-        total=sum(counts.values()),
         counts=counts,
         euclidean=euclidean,
         hyperbolic=hyperbolic,

@@ -12,7 +12,7 @@ from k3pi1.dynkin import AdeConfig, NotAdeError, recognize_ade
 from k3pi1.kodaira import (
     Decoration,
     DecorationError,
-    DecorationSummary,
+    DecorationOutcome,
     EulerSumMismatch,
     FullSupportRemoved,
     KodairaType,
@@ -38,7 +38,7 @@ def _graph_decoration(d):
     """The decoration check as a graph search over the fiber's table:
     the oracle for `validate_decoration`, which reads the removed ids."""
     if not d.removed:
-        return DecorationSummary(d, 1, AdeConfig())
+        return DecorationOutcome(d.fiber, 1, AdeConfig(), d.removed)
     data = fiber_data(d.fiber)
     ids = set(data.component_ids)
     unknown = d.removed - ids
@@ -62,11 +62,11 @@ def _graph_decoration(d):
         types = recognize_ade(sorted(d.removed), induced)
     except NotAdeError as exc:
         raise NotAdeRemovedSet(f"{d.fiber.label}: {exc}") from exc
-    return DecorationSummary(d, m, AdeConfig(tuple(types)))
+    return DecorationOutcome(d.fiber, m, AdeConfig(tuple(types)), d.removed)
 
 
 def _outcome(check, d):
-    """A summary, or the class and message of the error raised."""
+    """An outcome, or the class and message of the error raised."""
     try:
         return check(d)
     except Exception as exc:
@@ -79,9 +79,16 @@ def _graph_keys(t):
     ids = fiber_data(t).component_ids
     keys = set()
     for mask in range(2 ** len(ids) - 1):
-        s = _graph_decoration(Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1]))
-        keys.add((s.m, tuple((e.kind, e.n) for e in s.removed_config.entries)))
+        o = _graph_decoration(Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1]))
+        keys.add((o.m, tuple((e.kind, e.n) for e in o.config.entries)))
     return keys
+
+
+def _euler_24_types():
+    """Every fiber type with Euler number <= 24, in the pinned table order."""
+    types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
+    types += [KodairaType("I", n) for n in range(1, 25)]
+    return types + [KodairaType("I*", n) for n in range(0, 19)]
 
 
 def _small_types(max_n=12):
@@ -195,7 +202,7 @@ def test_multiplicity_vector_annihilates_intersection_matrix():
 def test_validate_decoration_istar0_tails():
     s = validate_decoration(Decoration(I("I*0"), {"t1", "t2", "t3", "t4"}))
     assert s.m == 2
-    assert s.removed_config == AdeConfig.from_labels(["A1"] * 4)
+    assert s.config == AdeConfig.from_labels(["A1"] * 4)
 
 
 def test_validate_decoration_iistar_keep_c6():
@@ -203,7 +210,7 @@ def test_validate_decoration_iistar_keep_c6():
     removed = set(data.component_ids) - {"c6"}
     s = validate_decoration(Decoration(I("II*"), removed))
     assert s.m == 6
-    assert s.removed_config == AdeConfig.from_labels(["A5", "A2", "A1"])
+    assert s.config == AdeConfig.from_labels(["A5", "A2", "A1"])
 
 
 def test_validate_decoration_errors():
@@ -218,7 +225,7 @@ def test_validate_decoration_errors():
 def test_iv_any_two_removed_gives_a2():
     for pair in [{"c0", "c1"}, {"c0", "c2"}, {"c1", "c2"}]:
         s = validate_decoration(Decoration(I("IV"), pair))
-        assert s.removed_config == AdeConfig.from_labels(["A2"])
+        assert s.config == AdeConfig.from_labels(["A2"])
 
 
 def test_empty_decoration_has_m_one_everywhere():
@@ -227,7 +234,7 @@ def test_empty_decoration_has_m_one_everywhere():
         assert any(mult == 1 for _, mult in fiber_data(t).components), t.label
         s = validate_decoration(Decoration(t, frozenset()))
         assert s.m == 1, t.label
-        assert s.removed_config.rank == 0
+        assert s.config.rank == 0
 
 
 def test_undecorated_huge_fiber_is_rejected_without_building_its_table():
@@ -245,7 +252,7 @@ def test_undecorated_huge_fiber_is_rejected_without_building_its_table():
     istar = Decoration(KodairaType("I*", 10**12), {"t1", "t2", "c0", "c1000000000000"})
     with pytest.raises(EulerSumMismatch):
         validate_k3_fibration([cycle, istar])
-    assert [validate_decoration(d).removed_config.labels for d in (cycle, istar)] == [
+    assert [validate_decoration(d).config.labels for d in (cycle, istar)] == [
         ("A1", "A2"), ("A1", "A3")
     ]
     with pytest.raises(UnknownComponent, match="c1000000000000"):
@@ -272,21 +279,20 @@ def test_all_proper_removed_sets_classify(per_type_limit=10):
         for mask in range(1, 2 ** len(ids) - 1):
             removed = frozenset(c for k, c in enumerate(ids) if mask >> k & 1)
             s = validate_decoration(Decoration(t, removed))
-            assert s.removed_config.rank == len(removed)
+            assert s.config.rank == len(removed)
 
 
 def test_validate_k3_fibration_accepts():
     kummer = [Decoration(I("I*0"), {"t1", "t2", "t3", "t4"})] * 4
-    summaries = validate_k3_fibration(kummer)
-    assert summaries == (validate_decoration(kummer[0]),) * 4
-    assert [s.decoration for s in summaries] == kummer
-    assert [s.m for s in summaries] == [2, 2, 2, 2]
-    assert [s.removed_config for s in summaries] == [AdeConfig.from_labels(["A1"] * 4)] * 4
+    outcomes = validate_k3_fibration(kummer)
+    assert outcomes == (validate_decoration(kummer[0]),) * 4
+    assert [Decoration(o.fiber, o.removed) for o in outcomes] == kummer
+    assert [o.m for o in outcomes] == [2, 2, 2, 2]
+    assert [o.config for o in outcomes] == [AdeConfig.from_labels(["A1"] * 4)] * 4
 
     nodal = [Decoration(I("I1"))] * 24
-    summaries = validate_k3_fibration(nodal)
-    assert [s.decoration for s in summaries] == nodal
-    assert [(s.m, s.removed_config) for s in summaries] == [(1, AdeConfig())] * 24
+    outcomes = validate_k3_fibration(nodal)
+    assert outcomes == (DecorationOutcome(I("I1"), 1, AdeConfig(), frozenset()),) * 24
 
 
 def test_validate_k3_fibration_rejects_bad_euler_sum():
@@ -360,12 +366,11 @@ def test_outcome_counts_match_the_outcome_keys():
 
 
 def test_decoration_outcomes_representatives_are_valid():
-    for t in _small_types(10) + [KodairaType("I", n) for n in (16, 24)] + [
-        KodairaType("I*", n) for n in (10, 18)
-    ]:
+    # one record for both: validating the representative removed set of
+    # an outcome gives that outcome, for every fiber type up to Euler 24
+    for t in _euler_24_types():
         for o in decoration_outcomes(t):
-            s = validate_decoration(Decoration(t, o.removed))
-            assert (s.m, s.removed_config) == (o.m, o.config), (t.label, o)
+            assert validate_decoration(Decoration(t, o.removed)) == o, (t.label, o)
 
 
 # SHA-256 over (label, m, config labels, sorted removed ids) of every
@@ -375,11 +380,8 @@ OUTCOME_TABLES_SHA256 = "b7e543b5b78042ec75a0982f105d5a60492f88a165d9b0b133e3b29
 
 
 def test_outcome_tables_and_representatives_are_pinned():
-    types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
-    types += [KodairaType("I", n) for n in range(1, 25)]
-    types += [KodairaType("I*", n) for n in range(0, 19)]
     digest = hashlib.sha256()
-    for t in types:
+    for t in _euler_24_types():
         for o in decoration_outcomes(t):
             digest.update(repr((t.label, o.m, o.config.labels, sorted(o.removed))).encode())
     assert digest.hexdigest() == OUTCOME_TABLES_SHA256

@@ -11,7 +11,6 @@ from k3pi1.dynkin import AdeConfig, DuValType
 from k3pi1.kodaira import (
     Decoration,
     DecorationOutcome,
-    DecorationSummary,
     FiberData,
     KodairaType,
 )
@@ -30,7 +29,7 @@ A1, D4 = DuValType("A", 1), DuValType("D", 4)
 I2, I0S = KodairaType("I", 2), KodairaType("I*", 0)
 CONFIG = AdeConfig((A1, D4))
 DEC = Decoration(I0S, frozenset({"t1"}))
-SUMMARY = DecorationSummary(DEC, 1, AdeConfig((A1,)))
+OUTCOME = DecorationOutcome(I0S, 1, AdeConfig((A1,)), frozenset({"t1"}))
 T, T_INV = ((1, 1), (0, 1)), ((1, -1), (0, 1))
 QUOTIENT = AbelianGroup((2,))
 
@@ -43,7 +42,6 @@ FIELDS = [
     (FiberData, {"fiber": I2, "components": (("c0", 1), ("c1", 1)),
                  "dual_graph": (("c0", "c1", 2),), "monodromy": ((1, 2), (0, 1)), "euler": 2}),
     (Decoration, {"fiber": I0S, "removed": frozenset({"t1"})}),
-    (DecorationSummary, {"decoration": DEC, "m": 1, "removed_config": AdeConfig((A1,))}),
     (DecorationOutcome, {"fiber": I0S, "m": 1, "config": AdeConfig((A1,)),
                          "removed": frozenset({"t1"})}),
     (IntegerGram, {"rows": ((2, -1), (-1, 2))}),
@@ -55,14 +53,14 @@ FIELDS = [
     (AbelianGroup, {"invariant_factors": (2, 4, 0)}),
     (NormalK3Input, {"singularities": None, "fibers": (DEC,), "monodromy": None}),
     (Verdict, {"kind": "FiniteFundamentalGroup"}),
-    (Report, {"kind": "fibered", "config": CONFIG, "e_orb": Fraction(35, 8),
-              "fibers": (SUMMARY,), "cone_orders": (2,),
+    (Report, {"config": CONFIG, "e_orb": Fraction(35, 8),
+              "fibers": (OUTCOME,), "cone_orders": (2,),
               "classification": OrbifoldClass("spherical_or_bad", 2),
               "verdict": Verdict("FiniteFundamentalGroup"), "monodromy_quotient": QUOTIENT}),
     (SweepInstance, {"outcomes": (("I*0", 2, ("D4",), 4),), "cone_orders": (2, 2, 2, 2),
                      "classification": "euclidean", "r": 16, "e_orb": Fraction(0)}),
-    (SweepResult, {"total": 3, "counts": {"euclidean": 1}, "euclidean": [], "hyperbolic": [],
-                   "violations": []}),
+    (SweepResult, {"counts": {"euclidean": 1, "hyperbolic": 2}, "euclidean": [],
+                   "hyperbolic": [], "violations": []}),
 ]
 IDS = [cls.__name__ for cls, _ in FIELDS]
 
@@ -76,8 +74,8 @@ DEFAULTS = [
     (AbelianGroup(), {"invariant_factors": ()}),
     (NormalK3Input(singularities=CONFIG),
      {"singularities": CONFIG, "fibers": None, "monodromy": None}),
-    (Report("bare", CONFIG, Fraction(35, 8)),
-     {"kind": "bare", "config": CONFIG, "e_orb": Fraction(35, 8), "fibers": None,
+    (Report(CONFIG, Fraction(35, 8)),
+     {"config": CONFIG, "e_orb": Fraction(35, 8), "fibers": None,
       "cone_orders": None, "classification": None, "verdict": None, "monodromy_quotient": None}),
 ]
 
@@ -134,20 +132,28 @@ def test_fields_cannot_be_assigned(cls, fields):
 
 
 def test_report_derives_the_rank_gate_and_the_checks():
-    derived = ("r", "rank_gate_passes", "rank_gate_consistent", "euclidean_euler_zero",
+    derived = ("kind", "r", "rank_gate_passes", "rank_gate_consistent", "euclidean_euler_zero",
                "monodromy_quotient_trivial")
-    torus = Report("fibered", AdeConfig((A1,) * 16), Fraction(0),
+    torus = Report(AdeConfig((A1,) * 16), Fraction(0), (OUTCOME,) * 4,
                    classification=OrbifoldClass("euclidean"), verdict=Verdict("TorusCover"))
     for report, values in [
-        (Report(**dict(FIELDS)[Report]), (5, True, True, None, False)),
-        (Report("bare", CONFIG, Fraction(35, 8)), (5, True, None, None, None)),
-        (torus, (16, False, True, True, None)),
-        (torus._replace(config=CONFIG, e_orb=Fraction(35, 8)), (5, True, False, False, None)),
+        (Report(**dict(FIELDS)[Report]), ("fibered", 5, True, True, None, False)),
+        (Report(CONFIG, Fraction(35, 8)), ("bare", 5, True, None, None, None)),
+        (torus, ("fibered", 16, False, True, True, None)),
+        (torus._replace(config=CONFIG, e_orb=Fraction(35, 8)),
+         ("fibered", 5, True, False, False, None)),
     ]:
         assert tuple(getattr(report, name) for name in derived) == values, report
         for name in derived:
             with pytest.raises(AttributeError):
                 setattr(report, name, None)
+
+
+def test_sweep_result_derives_its_total():
+    result = SweepResult(**dict(FIELDS)[SweepResult])
+    assert result.total == 3
+    with pytest.raises(AttributeError):
+        result.total = 4
 
 
 @pytest.mark.parametrize("make, message", [
