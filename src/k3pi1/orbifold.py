@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "OrbifoldSignature",
@@ -89,24 +89,25 @@ def classify(s: OrbifoldSignature) -> OrbifoldClass:
     Few cone points make the group finite regardless of chi (trivial
     for k <= 1, cyclic of order gcd for k = 2, the "bad" orbifolds
     included); from three cone points on, the sign of chi decides, and
-    2/chi is the (integer) order of the spherical von Dyck group.
+    2/chi is the (integer) order of the spherical von Dyck group.  Both
+    are read in integers from chi times the lcm of the cone orders.
     """
     orders = s.cone_orders
     if len(orders) == 0 or len(orders) == 1:
         return OrbifoldClass(SPHERICAL_OR_BAD, 1)
     if len(orders) == 2:
         return OrbifoldClass(SPHERICAL_OR_BAD, gcd(orders[0], orders[1]))
-    chi = orbifold_euler_characteristic(s)
-    if chi > 0:
-        order = Fraction(2) / chi
-        if order.denominator != 1:
+    den = lcm(*orders)
+    num = (2 - len(orders)) * den + sum(den // m for m in orders)  # chi * den
+    if num > 0:
+        g = gcd(2 * den, num)
+        if g != num:
             raise AssertionError(
-                f"positive chi with non-integer 2/chi at {s}: {order}"
+                f"positive chi with non-integer 2/chi at {s}: {2 * den // g}/{num // g}"
             )
-        return OrbifoldClass(SPHERICAL_OR_BAD, int(order))
-    if chi == 0:
+        return OrbifoldClass(SPHERICAL_OR_BAD, 2 * den // num)
+    if num == 0:
         if orders not in EUCLIDEAN_SIGNATURES:
             raise AssertionError(f"chi = 0 outside the euclidean table: {s}")
         return OrbifoldClass(EUCLIDEAN)
     return OrbifoldClass(HYPERBOLIC)
-

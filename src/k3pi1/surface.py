@@ -26,12 +26,13 @@ with r >= 16 and orbifold Euler number exactly zero.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
@@ -321,37 +322,27 @@ def trichotomy_sweep(
 ) -> SweepResult:
     """Enumerate every decorated-fibration class within the Euler budget.
 
-    Decorations of one fiber are grouped by their outcome (m, removed
-    configuration); fibers with nothing removed influence none of the
-    derived invariants and only fill the Euler budget, so a class is a
-    multiset of nontrivial outcomes with total Euler number at most
-    `euler_sum`.
+    A class is a multiset of nontrivial decoration outcomes (m, removed
+    configuration) with total Euler number at most `euler_sum`; fibers
+    with nothing removed only fill the budget.  Only the cone orders
+    m >= 2 decide a class, so the sweep counts from the outcome counts
+    per fiber type (`kodaira._outcome_counts`), in integers.  The m = 1
+    outcomes are counted per total Euler number by the logarithmic
+    derivative of prod_e (1 - x^e)^(-flat[e]).  The m >= 2 outcomes fall
+    into groups by (Euler number, m), and the walk goes over group
+    multisets in pre-order: each extends its prefix's running weight by
+    C(k + c - 1, c) for c picks from a group of k, and its sorted cone
+    orders by c copies of m.  Each cone multiset is classified once.
+    Euclidean and hyperbolic group multisets (4 at budget 24, 242 at 30)
+    are expanded from the outcome tables into full instances, checked
+    against r >= 16, orbifold Euler number zero and the rank gate;
+    hyperbolic instances and failed checks are violations.  Instances
+    come in the walker's pre-order over all nontrivial outcomes, listed
+    by fiber Euler number, label and table position.
 
-    Only the cone orders m >= 2 decide a class, so the sweep works from
-    counts: per fiber type, the number of nontrivial outcomes of each m
-    (`kodaira._outcome_counts`), read for I_n and I*_n from one table of
-    arc multisets without building a key or an outcome.  The m = 1
-    outcomes only fill the budget; a knapsack table built from their
-    number per Euler number counts the completions within any budget.
-    The m >= 2 outcomes (all from starred fibers) fall into groups by
-    (Euler number, m), and the walk goes over multisets of groups: c
-    picks from a group of k outcomes stand for C(k + c - 1, c) cone
-    parts, each classified once per group multiset.  Every group
-    multiset is counted with its completions.  Euclidean and hyperbolic
-    ones, few (4 at budget 24, 242 at 30), are also expanded into
-    their cone parts from the outcome tables of the fiber types
-    involved, and each cone part into its m = 1 completions; every full
-    instance is checked against r >= 16, orbifold Euler number zero, and
-    the rank gate, and hyperbolic instances and failed checks are
-    recorded as violations.  The expanded cone parts are sorted so that
-    instances and violations come in the depth-first pre-order of the
-    shared walker of `dynkin` over all nontrivial outcomes, listed by
-    fiber Euler number, label and table position.
-
-    The budget stands in for 24: an instance's orbifold Euler number is
-    reported as euler_sum - sum(n + 1 - 1/delta), the K3 value only when
-    euler_sum is 24.  Above 24, every hyperbolic class and every
-    euclidean class with a nonzero value is therefore a violation.
+    The budget stands in for 24: e_orb is reported as euler_sum -
+    sum(n + 1 - 1/delta), the K3 value only at 24, so above 24 every
+    hyperbolic class and every euclidean class with e_orb != 0 is a violation.
     """
     types = _sweep_types(euler_sum)
     flat = [0] * (euler_sum + 1)  # flat[e]: m = 1 outcomes of Euler number e
@@ -363,15 +354,13 @@ def trichotomy_sweep(
             else:
                 sizes[t.euler, m] = sizes.get((t.euler, m), 0) + count
 
-    # ways[b] = number of multisets of m = 1 outcomes with total Euler b;
-    # c outcomes of Euler number e give C(c + k - 1, k) ways to take k
-    ways = [1] + [0] * euler_sum
-    for e, c in enumerate(flat):
-        if c:
-            ways = [
-                sum(comb(c + k - 1, k) * ways[b - k * e] for k in range(b // e + 1))
-                for b in range(euler_sum + 1)
-            ]
+    # ways[b]: multisets of m = 1 outcomes of total Euler number b, the
+    # coefficients of prod_e (1 - x^e)^(-flat[e]); by its logarithmic
+    # derivative b ways[b] = sum_k s[k] ways[b - k], s[k] = sum_{e | k} e flat[e]
+    s = [sum(e * flat[e] for e in range(1, k + 1) if k % e == 0) for k in range(euler_sum + 1)]
+    ways = [1]
+    for b in range(1, euler_sum + 1):
+        ways.append(sum(s[k] * ways[b - k] for k in range(1, b + 1)) // b)
     completions_within = list(accumulate(ways))
 
     counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
@@ -395,10 +384,20 @@ def trichotomy_sweep(
 
     expanded = []  # (positions, cone part, cones, kind, budget left)
     groups = sorted(sizes)
+    # weight and sorted cone orders of the part walked to, by depth: the
+    # walk is in pre-order, so a part's prefix is the last part one shorter
+    weights, cone_parts = [1] * (len(groups) + 1), [()] * (len(groups) + 1)
     for part, left in _multisets(groups, [e for e, _ in groups], euler_sum):
-        cones = tuple(sorted(m for (_, m), c in part for _ in range(c)))
+        depth = len(part)
+        if depth:
+            (e, m), c = part[-1]
+            prefix = cone_parts[depth - 1]
+            at = bisect_right(prefix, m)
+            weights[depth] = weights[depth - 1] * comb(sizes[e, m] + c - 1, c)
+            cone_parts[depth] = prefix[:at] + (m,) * c + prefix[at:]
+        cones = cone_parts[depth]
         kind = classify_cones(cones).kind
-        counts[kind] += prod(comb(sizes[g] + c - 1, c) for g, c in part) * completions_within[left]
+        counts[kind] += weights[depth] * completions_within[left]
         if kind == SPHERICAL_OR_BAD:
             continue
         picks = []  # per group, every choice of c of its outcomes

@@ -19,9 +19,11 @@ library so the two sides of each check share no code:
   them within a rank budget,
 * bare `analyze` (rank, orbifold Euler number from a delta table of
   its own, rank gate and verdict),
-* the generating function counting sweep classes,
-* the cone-order signatures within an Euler budget, from the smallest
-  Euler number of an outcome with each cone order.
+* the generating function counting sweep classes, and a count per
+  kind by a table over (Euler number, cone multiset),
+* the orbifold kind and group order of a cone-order signature by the
+  sign of chi in Fraction, and the signatures within an Euler budget,
+  from the smallest Euler number of an outcome with each cone order.
 
 Nothing here imports k3pi1.
 """
@@ -557,15 +559,78 @@ def group_order_oracle(orders: tuple[int, ...], limit: int) -> int | None:
     return coset_enumeration_order(k, relators, limit)
 
 
-def gf_total(eulers, budget: int) -> int:
-    """Sum of the coefficients of degree <= budget of prod 1/(1 - x^e)
-    over the given Euler numbers: the number of multisets of the items
-    with total Euler number at most the budget."""
+def gf_coefficients(eulers, budget: int) -> list[int]:
+    """The coefficients of degree 0..budget of prod 1/(1 - x^e) over the
+    given Euler numbers, taken one item at a time: the number of
+    multisets of the items with each total Euler number."""
     ways = [1] + [0] * budget
     for e in eulers:
         for b in range(e, budget + 1):
             ways[b] += ways[b - e]
-    return sum(ways)
+    return ways
+
+
+def gf_total(eulers, budget: int) -> int:
+    """The number of multisets of the items with total Euler number at
+    most the budget."""
+    return sum(gf_coefficients(eulers, budget))
+
+
+def orbifold_chi(orders) -> Fraction:
+    """The orbifold Euler characteristic 2 - sum(1 - 1/m) of the sphere
+    with these cone points."""
+    return 2 - sum(1 - Fraction(1, m) for m in orders)
+
+
+def cone_kind(orders) -> str:
+    """The sign of `orbifold_chi`: "spherical_or_bad" when positive,
+    "euclidean" when zero, "hyperbolic" when negative."""
+    chi = orbifold_chi(orders)
+    return "spherical_or_bad" if chi > 0 else "euclidean" if chi == 0 else "hyperbolic"
+
+
+def orbifold_class(orders) -> tuple[str, int | None]:
+    """(kind, group order) of the sphere with these cone points, orders 1
+    dropped: trivial for at most one cone point, cyclic of order gcd for
+    two, else the kind by the sign of chi and, when chi > 0, the order
+    2/chi; the order is None for an infinite group."""
+    cones = [m for m in orders if m > 1]
+    if len(cones) <= 2:
+        return "spherical_or_bad", gcd(*cones) if len(cones) == 2 else 1
+    kind = cone_kind(cones)
+    if kind != "spherical_or_bad":
+        return kind, None
+    order = 2 / orbifold_chi(cones)
+    assert order.denominator == 1, cones
+    return kind, order.numerator
+
+
+def sweep_counts_by_kind(items, budget: int) -> dict:
+    """The number of multisets of outcomes with total Euler number at most
+    the budget, per kind of their cone orders.
+
+    `items` holds the (Euler number, cone order m) of every nontrivial
+    outcome.  The cone items (m >= 2) go one at a time through a table
+    over (Euler number used, sorted cone multiset); the m = 1 items only
+    fill what is left of the budget and are counted one at a time by
+    `gf_coefficients`.
+    """
+    flat = list(itertools.accumulate(gf_coefficients([e for e, m in items if m == 1], budget)))
+    table = [{} for _ in range(budget + 1)]  # table[used]: cone multiset -> count
+    table[0][()] = 1
+    for e, m in items:
+        if m == 1:
+            continue
+        for used in range(budget - e + 1):  # rising, so an item can repeat
+            grown = table[used + e]
+            for cones, n in table[used].items():
+                key = tuple(sorted(cones + (m,)))
+                grown[key] = grown.get(key, 0) + n
+    counts = dict.fromkeys(("spherical_or_bad", "euclidean", "hyperbolic"), 0)
+    for used, by_cones in enumerate(table):
+        for cones, n in by_cones.items():
+            counts[cone_kind(cones)] += n * flat[budget - used]
+    return counts
 
 
 def cone_signatures_by_cost(min_euler, budget: int) -> dict:
@@ -574,18 +639,14 @@ def cone_signatures_by_cost(min_euler, budget: int) -> dict:
 
     `min_euler[m]` is the smallest Euler number of a fiber outcome with
     cone order m; a signature costs the sum of these over its cone
-    points, every other fiber being left undecorated.  The kind is the
-    sign of the orbifold Euler characteristic 2 - sum(1 - 1/m) of the
-    sphere with these cone points: "spherical_or_bad" when positive,
-    "euclidean" when zero, "hyperbolic" when negative.
+    points, every other fiber being left undecorated.  The kind is
+    `cone_kind` of the cone orders.
     """
     orders = sorted(min_euler)
     found = {}
 
     def rec(start, chosen, cost):
-        chi = 2 - sum(1 - Fraction(1, m) for m in chosen)
-        kind = "spherical_or_bad" if chi > 0 else "euclidean" if chi == 0 else "hyperbolic"
-        found[tuple(chosen)] = (cost, kind)
+        found[tuple(chosen)] = (cost, cone_kind(chosen))
         for idx in range(start, len(orders)):
             m = orders[idx]
             if cost + min_euler[m] <= budget:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -463,6 +464,11 @@ _documents = st.one_of(
 )
 
 
+# a generous bound on one command over one drawn input: every loader
+# input is small, so only a runaway parse or search comes near it
+LOADER_SECONDS = 10
+
+
 @seed(20_250_301)
 @settings(max_examples=200, deadline=2000, database=None)
 @given(document=_documents, bound=st.integers(-1, 3))
@@ -473,7 +479,9 @@ def test_loaders_end_with_exit_0_1_or_2_and_one_error_line(document, bound):
         path = Path(tmp) / "input"
         path.write_text(document, encoding="utf-8")
         for command in commands:
+            start = time.perf_counter()
             code, out, err = run_cli(*command, str(path))
+            assert time.perf_counter() - start < LOADER_SECONDS, command
             assert code in (0, 1, 2), command
             if code == 1:
                 assert out == "" and err.startswith("error: "), command

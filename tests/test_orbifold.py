@@ -15,7 +15,7 @@ from k3pi1.orbifold import (
     orbifold_euler_characteristic,
 )
 
-from oracles import coset_enumeration_order, group_order_oracle
+from oracles import coset_enumeration_order, group_order_oracle, orbifold_class
 
 S = OrbifoldSignature
 
@@ -71,6 +71,19 @@ def test_classify_euclidean_table_is_exactly_chi_zero():
             chi = orbifold_euler_characteristic(S(orders))
             if chi == 0:
                 assert tuple(sorted(orders)) in EUCLIDEAN_SIGNATURES
+
+
+def test_classify_matches_the_sign_of_chi_in_fraction():
+    # every signature of at most 5 cone points with orders 1..12
+    import itertools
+
+    checked = 0
+    for k in range(6):
+        for orders in itertools.combinations_with_replacement(range(1, 13), k):
+            got = classify(S(orders))
+            assert (got.kind, got.order) == orbifold_class(orders), orders
+            checked += 1
+    assert checked == 6_188
 
 
 def test_classify_invariant_under_permutation_and_ones():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from k3pi1 import kodaira
+from k3pi1 import kodaira, surface
 from k3pi1.dynkin import AdeConfig, DuValType
 from k3pi1.kodaira import Decoration, KodairaType, decoration_outcomes, fiber_data
+from k3pi1.orbifold import classify
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
 from k3pi1.surface import (
     FINITE_FUNDAMENTAL_GROUP,
@@ -21,7 +22,14 @@ from k3pi1.surface import (
     trichotomy_sweep,
 )
 
-from oracles import ade_multisets, ade_types, bare_analysis, cone_signatures_by_cost, gf_total
+from oracles import (
+    ade_multisets,
+    ade_types,
+    bare_analysis,
+    cone_signatures_by_cost,
+    gf_total,
+    sweep_counts_by_kind,
+)
 
 K = KodairaType.parse
 
@@ -414,15 +422,40 @@ def _sweep_fiber_types(budget):
     return [t for t in types if t.euler <= budget]
 
 
-def _outcome_eulers(budget):
-    """Euler number of every nontrivial outcome of every fiber type that
-    fits the budget, read from the public decoration_outcomes tables."""
+def _outcome_items(budget):
+    """(Euler number, m) of every nontrivial outcome of every fiber type
+    that fits the budget, read from the public decoration_outcomes tables."""
     return [
-        t.euler
+        (t.euler, o.m)
         for t in _sweep_fiber_types(budget)
         for o in decoration_outcomes(t)
         if o.config.entries
     ]
+
+
+def _outcome_eulers(budget):
+    return [e for e, _ in _outcome_items(budget)]
+
+
+def test_trichotomy_sweep_counts_match_the_per_kind_oracle():
+    # the oracle adds the outcomes one at a time, from the public tables
+    for budget in (24, 25, 26):
+        assert _sweep(budget).counts == sweep_counts_by_kind(_outcome_items(budget), budget)
+
+
+def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
+    trichotomy_sweep(24)
+    seen = []
+
+    def counted(signature):
+        seen.append(signature.cone_orders)
+        return classify(signature)
+
+    monkeypatch.setattr(surface, "classify", counted)
+    trichotomy_sweep(24)
+    assert len(seen) == len(set(seen)) == 33
+    # the cone multisets whose cheapest realization fits the budget
+    assert set(seen) == set(cone_signatures_by_cost(_min_euler_per_cone_order(24), 24))
 
 
 def test_trichotomy_sweep_totals_match_generating_function():
