@@ -44,7 +44,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from math import prod
 
 from .dynkin import AdeConfig
@@ -113,6 +113,15 @@ def _integer(
     if not text and type(raw) is int:
         return raw
     raise InputError(field, message)
+
+
+def _int_arg(text: str) -> int:
+    """An integer option read as input files read one: ASCII digits and an
+    optional sign (argparse's int would also take other digits and `_`)."""
+    if _ASCII_INT.fullmatch(text):
+        with suppress(ValueError):  # more digits than int() may convert
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _read_file(path: str) -> str:
@@ -495,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _leaf(lat_sub, "snf", "Smith normal form of a matrix file", _cmd_lattice_snf, "matrixfile")
     _leaf(
         lat_sub, "isotropic", "bounded isotropic vector search", _cmd_lattice_isotropic,
-        "matrixfile", bound=dict(type=int, required=True),
+        "matrixfile", bound=dict(type=_int_arg, required=True),
     )
     _leaf(
         lat_sub, "k3", "the rank-22 even unimodular lattice", _cmd_lattice_k3,
@@ -515,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     _leaf(
         sub, "enumerate", "exhaustive trichotomy sweep", _cmd_enumerate,
-        euler_sum=dict(type=int, default=24), max_report=dict(type=int, default=10),
+        euler_sum=dict(type=_int_arg, default=24), max_report=dict(type=_int_arg, default=10),
     )
     return parser
 

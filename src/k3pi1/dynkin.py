@@ -158,40 +158,6 @@ def local_euler_contribution(t: DuValType) -> Fraction:
     return Fraction(t.n + 1) - Fraction(1, t.delta)
 
 
-def _classify_component(
-    nodes: list[Hashable], adj: dict[Hashable, list[Hashable]], edge_count: int
-) -> DuValType:
-    size = len(nodes)
-    if edge_count >= size:
-        raise NotAdeError(f"component of size {size} contains a cycle")
-    degrees = {v: len(adj[v]) for v in nodes}
-    if any(d >= 4 for d in degrees.values()):
-        raise NotAdeError("vertex of degree >= 4")
-    branch = [v for v in nodes if degrees[v] == 3]
-    if not branch:
-        return DuValType("A", size)
-    if len(branch) > 1:
-        raise NotAdeError("more than one branch vertex")
-    center = branch[0]
-    arms = []
-    for start in adj[center]:
-        length = 0
-        prev, cur = center, start
-        while True:
-            length += 1
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        arms.append(length)
-    a, b, c = sorted(arms)
-    if a == 1 and b == 1:
-        return DuValType("D", c + 3)
-    if (a, b) == (1, 2) and c in (2, 3, 4):
-        return DuValType("E", c + 4)
-    raise NotAdeError(f"branch vertex with arm lengths {(a, b, c)}")
-
-
 def recognize_ade(
     nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
 ) -> list[DuValType]:
@@ -201,43 +167,54 @@ def recognize_ade(
     NotAdeError naming the obstruction (cycle, high-degree vertex, two
     branch vertices, bad arm lengths, self-loop, repeated edge).
     """
-    node_list = list(nodes)
-    node_set = set(node_list)
-    adj: dict[Hashable, list[Hashable]] = {v: [] for v in node_list}
-    seen_edges = set()
-    edge_list = []
+    adj: dict[Hashable, set[Hashable]] = {v: set() for v in nodes}
     for u, v in edges:
         if u == v:
             raise NotAdeError(f"self-loop at {u!r}")
-        if u not in node_set or v not in node_set:
+        if u not in adj or v not in adj:
             raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-        key = frozenset((u, v))
-        if key in seen_edges:
+        if v in adj[u]:
             raise NotAdeError(f"repeated edge between {u!r} and {v!r}")
-        seen_edges.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        edge_list.append((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
 
     types = []
-    unvisited = dict.fromkeys(node_list)
-    while unvisited:
-        root = next(iter(unvisited))
-        comp = [root]
-        del unvisited[root]
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w in unvisited:
-                        del unvisited[w]
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        comp_set = set(comp)
-        n_edges = sum(1 for u, v in edge_list if u in comp_set)
-        types.append(_classify_component(comp, adj, n_edges))
+    seen: set[Hashable] = set()
+    for root in adj:  # components in node order: the first bad one raises
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            stack += [w for w in adj[v] if w not in seen]
+            seen.update(adj[v])
+        size = len(comp)
+        if sum(len(adj[v]) for v in comp) >= 2 * size:
+            raise NotAdeError(f"component of size {size} contains a cycle")
+        if any(len(adj[v]) >= 4 for v in comp):
+            raise NotAdeError("vertex of degree >= 4")
+        branch = [v for v in comp if len(adj[v]) == 3]
+        if not branch:
+            types.append(DuValType("A", size))
+            continue
+        if len(branch) > 1:
+            raise NotAdeError("more than one branch vertex")
+        arms = []
+        for cur in adj[branch[0]]:
+            prev, length = branch[0], 1
+            while len(adj[cur]) == 2:
+                (nxt,) = adj[cur] - {prev}
+                prev, cur, length = cur, nxt, length + 1
+            arms.append(length)
+        a, b, c = sorted(arms)
+        if a == 1 and b == 1:
+            types.append(DuValType("D", c + 3))
+        elif (a, b) == (1, 2) and c in (2, 3, 4):
+            types.append(DuValType("E", c + 4))
+        else:
+            raise NotAdeError(f"branch vertex with arm lengths {(a, b, c)}")
     return sorted(types)
 
 

@@ -209,7 +209,11 @@ def _star(base: str) -> tuple[str, list[list[str]], dict[str, int]]:
     return center, arms, mult
 
 
-def _build_fiber(t: KodairaType) -> FiberData:
+# a sweep reads the three star tables; `kodaira info` builds I_n and I*_n
+# tables of up to 10^5 components, so only the most recent few are kept
+@lru_cache(maxsize=32)
+def fiber_data(t: KodairaType) -> FiberData:
+    """Canonical component/multiplicity/monodromy data for a fiber type."""
     comps: list[tuple[str, int]] = []
     edges: list[tuple[str, str, int]] = []
     n = _CYCLES.get(t.base, t.n)
@@ -242,14 +246,6 @@ def _build_fiber(t: KodairaType) -> FiberData:
         monodromy=mono,
         euler=t.euler,
     )
-
-
-# a sweep reads the three star tables; `kodaira info` builds I_n and I*_n
-# tables of up to 10^5 components, so only the most recent few are kept
-@lru_cache(maxsize=32)
-def fiber_data(t: KodairaType) -> FiberData:
-    """Canonical component/multiplicity/monodromy data for a fiber type."""
-    return _build_fiber(t)
 
 
 class Decoration(namedtuple("Decoration", "fiber removed")):

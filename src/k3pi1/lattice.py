@@ -157,32 +157,20 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     )
 
 
-def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
-    size = sum(len(b) for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                out[offset + i][offset + j] = b[i][j]
-        offset += k
-    return out
-
-
-_U_BLOCK = [[0, 1], [1, 0]]
-
-
 def k3_gram() -> IntegerGram:
     """Gram matrix of U + U + U + E8(-1) + E8(-1).
 
     The rank-22 even unimodular lattice of signature (3,19) carried by
     the second cohomology of a K3 surface.
     """
-    e8_neg = [[-x for x in row] for row in DuValType("E", 8).cartan_matrix()]
-    return IntegerGram.from_rows(
-        _block_diag([_U_BLOCK, _U_BLOCK, _U_BLOCK, e8_neg, e8_neg])
-    )
+    rows = [[0] * 22 for _ in range(22)]
+    for at in (0, 2, 4):
+        rows[at][at + 1] = rows[at + 1][at] = 1
+    e8 = DuValType("E", 8).cartan_matrix()
+    for at in (6, 14):
+        for i in range(8):
+            rows[at + i][at : at + 8] = [-x for x in e8[i]]
+    return IntegerGram.from_rows(rows)
 
 
 def _pivots(rows: Matrix) -> tuple[list[Fraction], int]:

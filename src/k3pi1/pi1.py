@@ -13,7 +13,7 @@ computes the quotient from a triangular basis of the relation lattice.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from enum import Enum
 from math import gcd
 
@@ -39,15 +39,6 @@ __all__ = [
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 MINUS_IDENTITY: Mat2 = ((-1, 0), (0, -1))
-
-
-def as_mat2(entries: Sequence[Sequence[int]]) -> Mat2:
-    if len(entries) != 2 or any(len(row) != 2 for row in entries):
-        raise ValueError("expected a 2x2 matrix")
-    return (
-        (int(entries[0][0]), int(entries[0][1])),
-        (int(entries[1][0]), int(entries[1][1])),
-    )
 
 
 class RepresentationError(ValueError):
@@ -126,13 +117,17 @@ class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
     def __new__(
         cls, matrices: tuple[Mat2, ...], declared: tuple[KodairaType | None, ...] = ()
     ) -> "MonodromyRep":
-        mats = tuple(as_mat2(m) for m in matrices)
+        mats: list[Mat2] = []
+        for m in matrices:
+            if len(m) != 2 or any(len(row) != 2 for row in m):
+                raise ValueError("expected a 2x2 matrix")
+            mats.append(tuple((int(row[0]), int(row[1])) for row in m))
         declared = tuple(declared)
         if not declared:
             declared = (None,) * len(mats)
         if len(declared) != len(mats):
             raise ValueError("declared labels do not match the matrix count")
-        return tuple.__new__(cls, (mats, declared))
+        return tuple.__new__(cls, (tuple(mats), declared))
 
     def __len__(self) -> int:
         return len(self.matrices)

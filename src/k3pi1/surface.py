@@ -308,13 +308,15 @@ class SweepResult(namedtuple("SweepResult", "counts euclidean hyperbolic violati
         return not self.violations
 
 
-def _sweep_types(euler_sum: int) -> list[KodairaType]:
+@cache
+def _sweep_types(euler_sum: int) -> tuple[KodairaType, ...]:
     """Every fiber type with Euler number <= euler_sum, by (Euler number,
     label): the order in which the sweep lists their outcomes."""
     types = [KodairaType(base) for base in ("II", "III", "IV", "IV*", "III*", "II*")]
     types += [KodairaType("I", n) for n in range(1, euler_sum + 1)]
     types += [KodairaType("I*", n) for n in range(0, euler_sum - 5)]
-    return sorted((t for t in types if t.euler <= euler_sum), key=lambda t: (t.euler, t.label))
+    types = [t for t in types if t.euler <= euler_sum]
+    return tuple(sorted(types, key=lambda t: (t.euler, t.label)))
 
 
 def trichotomy_sweep(
@@ -417,7 +419,8 @@ def trichotomy_sweep(
     most_left = max((left for *_, left in expanded), default=0)
     flat_items = [
         o
-        for t in _sweep_types(most_left)
+        for t in types
+        if t.euler <= most_left
         for o in decoration_outcomes(t)
         if o.m == 1 and o.config.entries
     ]

@@ -1,7 +1,9 @@
 """Tests for the Kodaira fiber tables and decorations."""
 
 import hashlib
+import random
 from collections import Counter
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -326,6 +328,56 @@ def test_validate_decoration_matches_the_graph_search_on_every_subset():
         for mask in range(2 ** len(ids)):
             d = Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1])
             assert _outcome(validate_decoration, d) == _outcome(_graph_decoration, d), d
+
+
+def _fiber_automorphisms(t):
+    """Maps of a fiber's component ids that keep its dual graph and its
+    multiplicities (ids not named stay): the dihedral group of the cycle
+    c0.. of I_n, II, III and IV; t1<->t2, t3<->t4 and the end reversal of
+    I*_n; S3 on the arms of IV*; the swap of the long arms of III*."""
+    if t.base in ("I", "II", "III", "IV"):
+        n = len(fiber_data(t).component_ids)
+        return [
+            {f"c{i}": f"c{(sign * i + shift) % n}" for i in range(n)}
+            for shift in range(n)
+            for sign in (1, -1)
+        ]
+    if t.base == "I*":
+        n = t.n
+        ends = {"t1": "t3", "t3": "t1", "t2": "t4", "t4": "t2"}
+        return [
+            {"t1": "t2", "t2": "t1"},
+            {"t3": "t4", "t4": "t3"},
+            {f"c{i}": f"c{n - i}" for i in range(n + 1)} | ends,
+        ]
+    if t.base == "IV*":
+        return [
+            {f"{x}{i}": f"{y}{i}" for x, y in zip("abd", arms) for i in (1, 2)}
+            for arms in permutations("abd")
+        ]
+    if t.base == "III*":
+        return [{f"c{i}": f"c{8 - i}" for i in range(1, 8)}]
+    return []  # II*: its three arms differ in length
+
+
+def test_validate_decoration_is_invariant_under_fiber_automorphisms():
+    """A second check of the wrap-around and end-run joins of the removed
+    ids, with no oracle: an automorphism of the dual graph that keeps the
+    multiplicities keeps the outcome (m, config)."""
+    rng = random.Random(8)
+    for t in _small_types(11):
+        data = fiber_data(t)
+        ids, maps = data.component_ids, _fiber_automorphisms(t)
+        graph = {(frozenset((u, v)), w) for u, v, w in data.dual_graph}
+        for f in maps:
+            assert sorted((f.get(c, c), m) for c, m in data.components) == sorted(data.components)
+            assert {(frozenset((f.get(u, u), f.get(v, v))), w) for (u, v), w in graph} == graph
+        for _ in range(40):
+            removed = rng.sample(ids, rng.randrange(len(ids)))
+            o = validate_decoration(Decoration(t, removed))
+            for f in maps:
+                image = validate_decoration(Decoration(t, [f.get(c, c) for c in removed]))
+                assert (image.m, image.config) == (o.m, o.config), (t.label, removed, f)
 
 
 _NEAR_MISSES = ["c01", "c-1", "c\u0663", "C1", "t0", "t5", "c+1", "c 1", "c1_0", ""]

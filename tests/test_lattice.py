@@ -9,6 +9,7 @@ import pytest
 
 from k3pi1.lattice import (
     IntegerGram,
+    _anisotropic,
     _pivots,
     isotropic_search,
     k3_gram,
@@ -115,6 +116,30 @@ def test_smith_forms_are_pinned():
     assert digest.hexdigest() == SNF_SHA256
 
 
+def _unimodular(rng, n, steps=4):
+    """A product of `steps` elementary n x n integer matrices: adding
+    -2..2 times one row to another, a row swap or a row sign change."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        elif rng.random() < 0.3:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def test_smith_diagonal_is_invariant_under_unimodular_changes_of_basis():
+    rng = random.Random(2108)
+    for a in _snf_cases():
+        m, n = len(a), len(a[0]) if a else 0
+        b = mat_mul(mat_mul(_unimodular(rng, m), a), _unimodular(rng, n))
+        assert smith_normal_form(b).diagonal == smith_normal_form(a).diagonal, a
+
+
 def test_snf_rejects_ragged_matrices():
     for a in ([[1, 2], [3]], [[1], []], [[], [1]]):
         with pytest.raises(ValueError, match="^ragged matrix$"):
@@ -205,6 +230,20 @@ def test_signature_block_sum_is_componentwise():
         sc = signature(IntegerGram.from_rows(block))
         assert sc == tuple(x + y for x, y in zip(sa, sb))
         assert sum(sc) == n1 + n2
+
+
+def test_signature_and_anisotropy_are_invariant_under_congruence():
+    """P^T A P for P in GL_n(Z) keeps the inertia (Sylvester) and, up to
+    rational isometry, the nondegenerate part, so whether it is
+    anisotropic over Q."""
+    rng = random.Random(2109)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        a = _random_symmetric(rng, n)
+        p = _unimodular(rng, n)
+        b = mat_mul(mat_mul([list(col) for col in zip(*p)], a), p)
+        assert signature(IntegerGram.from_rows(b)) == signature(IntegerGram.from_rows(a)), a
+        assert _anisotropic(_pivots(b)[0]) == _anisotropic(_pivots(a)[0]), (a, p)
 
 
 def test_isotropic_search_examples():

@@ -70,7 +70,7 @@ def test_validate_declared_classes(monkeypatch):
     def no_table(t):
         raise AssertionError(f"built the fiber table of {t.label}")
 
-    monkeypatch.setattr("k3pi1.kodaira._build_fiber", no_table)
+    monkeypatch.setattr("k3pi1.kodaira.fiber_data", no_table)
     huge_i, huge_istar = KodairaType("I", 10**12), KodairaType("I*", 10**12)
     validate_representation(MonodromyRep((A, ((1, -1), (0, 1))), (huge_i, huge_i)))
     minus = (((-1, -1), (0, -1)), ((-1, 1), (0, -1)))
@@ -164,6 +164,40 @@ def test_quotient_invariant_under_global_conjugation():
         q1 = coinvariant_quotient(MonodromyRep(rep_mats))
         q2 = coinvariant_quotient(MonodromyRep(conj))
         assert q1 == q2
+
+
+def _hurwitz_move(mats, i, inverse):
+    """The braid generator sigma_i, or its inverse, on a tuple of matrices:
+    (T_i, T_i+1) -> (T_i+1, T_i+1^-1 T_i T_i+1), or -> (T_i T_i+1 T_i^-1, T_i)."""
+    a, b = mats[i], mats[i + 1]
+    pair = (_conjugate(a, b), a) if inverse else (b, _conjugate(_adjugate(b), a))
+    return mats[:i] + pair + mats[i + 2 :]
+
+
+def test_quotient_and_classes_are_invariant_under_hurwitz_moves():
+    """A Hurwitz move keeps the ordered product, the multiset of conjugacy
+    classes and, for any tuple, the full quotient Z^2 / sum Im(I - T_j):
+    Im(I - h^-1 T h) = h^-1 Im(I - T), and h^-1 moves each vector only by
+    an element of Im(I - h).  Half the tuples drop their last matrix, so
+    their product is not the identity and only the quotient is compared."""
+    rng = random.Random(2108)
+    checked = 0
+    while checked < 150:
+        k = rng.randint(3, 7)
+        mats = _random_rep(rng, k)[: k - rng.randint(0, 1)]
+        quotient = coinvariant_quotient(MonodromyRep(mats))
+        if quotient.is_trivial:
+            continue
+        closed = len(mats) == k
+        if closed:
+            classes = sorted(c.value for c in validate_representation(MonodromyRep(mats)))
+        for _ in range(rng.randint(1, 12)):
+            mats = _hurwitz_move(mats, rng.randrange(len(mats) - 1), rng.random() < 0.5)
+        rep = MonodromyRep(mats)
+        assert coinvariant_quotient(rep) == quotient, mats
+        if closed:
+            assert sorted(c.value for c in validate_representation(rep)) == classes, mats
+        checked += 1
 
 
 def test_quotient_shrinks_as_subset_grows():
