@@ -325,7 +325,9 @@ def _cmd_orbifold(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
-    res = smith_normal_form(_load_matrix_file(args.matrixfile))
+    matrix = _load_matrix_file(args.matrixfile)
+    with _field(args.matrixfile):
+        res = smith_normal_form(matrix)
     payload = {
         "diagonal": list(res.diagonal),
         "u": [list(r) for r in res.u],

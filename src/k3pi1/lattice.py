@@ -314,14 +314,44 @@ def isotropic_search(g: IntegerGram, bound: int) -> tuple[int, ...] | None:
     no nonzero tail can vanish.  Neither cut removes a solution, so
     neither changes the returned vector.
     """
-    return _search(g, bound)[1]
+    return meyer_gate(g, bound).vector
 
 
-def _search(
-    g: IntegerGram, bound: int
-) -> tuple[tuple[int, int, int], tuple[int, ...] | None]:
-    """The signature of g and isotropic_search(g, bound), both read from
-    one diagonalisation of the form with its coordinates reversed."""
+class MeyerReport(namedtuple("MeyerReport", "signature bound vector")):
+    """Outcome of the bounded isotropic search with the rank/indefiniteness
+    hypotheses of Meyer's theorem spelled out: the signature (n_+, n_-,
+    n_0), the search bound, and the isotropic vector found or None.
+
+    An exhausted search under the hypotheses is only a bound warning,
+    never a refutation: the theorem guarantees an isotropic vector
+    exists, just not inside the box."""
+
+    __slots__ = ()
+
+    @property
+    def rank(self) -> int:
+        return self.signature[0] + self.signature[1]
+
+    @property
+    def indefinite(self) -> bool:
+        return self.signature[0] > 0 and self.signature[1] > 0
+
+    @property
+    def hypotheses_hold(self) -> bool:
+        return self.indefinite and self.rank >= 5
+
+    @property
+    def exhausted(self) -> bool:
+        return self.vector is None
+
+    @property
+    def hypotheses_hold_but_exhausted(self) -> bool:
+        return self.hypotheses_hold and self.exhausted
+
+
+def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
+    """Run the bounded search of `isotropic_search` and report it against
+    the hypotheses of Meyer's theorem (indefinite, rank >= 5)."""
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     n = g.dim
@@ -332,7 +362,7 @@ def _search(
     pivots, zero_at = _pivots([row[::-1] for row in rows[::-1]])
     inertia = _inertia(pivots, n)
     if n == 0:
-        return inertia, None
+        return MeyerReport(signature=inertia, bound=bound, vector=None)
     b2 = bound * bound
     # off_bound[k] = sum over k <= i < j of 2 |G_ij| B^2
     off_bound = [0] * (n + 1)
@@ -363,7 +393,7 @@ def _search(
         roots: list[int] = []
         if a == 0 and c == 0:
             if partial == 0:
-                return 0 if nonzero else 1 if bound >= 1 else None
+                return 0 if nonzero else 1
             return None
         if a == 0:
             if partial % (2 * c) == 0:
@@ -414,43 +444,4 @@ def _search(
             cross[i] = saved[i - level - 1]
         return None
 
-    return inertia, dfs(0, 0, False)
-
-
-class MeyerReport(namedtuple("MeyerReport", "signature bound vector")):
-    """Outcome of the bounded isotropic search with the rank/indefiniteness
-    hypotheses of Meyer's theorem spelled out: the signature (n_+, n_-,
-    n_0), the search bound, and the isotropic vector found or None.
-
-    An exhausted search under the hypotheses is only a bound warning,
-    never a refutation: the theorem guarantees an isotropic vector
-    exists, just not inside the box."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return self.signature[0] + self.signature[1]
-
-    @property
-    def indefinite(self) -> bool:
-        return self.signature[0] > 0 and self.signature[1] > 0
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.indefinite and self.rank >= 5
-
-    @property
-    def exhausted(self) -> bool:
-        return self.vector is None
-
-    @property
-    def hypotheses_hold_but_exhausted(self) -> bool:
-        return self.hypotheses_hold and self.exhausted
-
-
-def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
-    """Run the bounded isotropic search and report it against the
-    hypotheses of Meyer's theorem (indefinite, rank >= 5)."""
-    sig, vec = _search(g, bound)
-    return MeyerReport(signature=sig, bound=bound, vector=vec)
+    return MeyerReport(signature=inertia, bound=bound, vector=dfs(0, 0, False))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from enum import Enum
 from math import gcd
 
 from .kodaira import KodairaType, Mat2, _int_text, _monodromy
@@ -26,7 +25,6 @@ __all__ = [
     "Mat2",
     "IDENTITY",
     "MINUS_IDENTITY",
-    "MonodromyClass",
     "MonodromyRep",
     "AbelianGroup",
     "RepresentationError",
@@ -59,53 +57,29 @@ class ProductNotIdentity(RepresentationError):
 
 
 class ClassMismatch(RepresentationError):
-    def __init__(self, index: int, declared: KodairaType, actual: "MonodromyClass"):
+    def __init__(self, index: int, declared: KodairaType, actual: str):
         super().__init__(
-            f"matrix {index} declared {declared.label} but its trace/order "
-            f"class is {actual.value}"
+            f"matrix {index} declared {declared.label} but its trace/order class is {actual}"
         )
         self.index = index
 
 
-class MonodromyClass(Enum):
-    """Conjugation-invariant bucket of an SL(2,Z) element.
+def _class_of(t: Mat2) -> str:
+    """Printed trace/order class of a normalised determinant-one matrix.
 
-    The trace decides everything for |trace| <= 2: traces 1, 0, -1 give
-    the elements of multiplicative order 6, 4, 3; trace 2 is the
-    identity or a nontrivial unipotent (type I_n); trace -2 is minus
-    the identity (type I*_0) or minus a unipotent (type I*_n, n >= 1).
-    Hyperbolic elements (|trace| > 2) do not occur as local monodromies
-    of elliptic fibrations.
+    The trace decides everything for |trace| <= 2: traces 1, 0 and -1
+    give the elements of multiplicative order 6, 4 and 3; trace 2 is the
+    identity or a nontrivial unipotent (I_n), trace -2 minus either (I*_0,
+    I*_n).  A hyperbolic element (|trace| > 2) is never a local monodromy.
     """
-
-    IDENTITY = "identity"
-    UNIPOTENT = "I_n"
-    MINUS_IDENTITY = "I*_0"
-    MINUS_UNIPOTENT = "I*_n"
-    ORDER_SIX = "II/II*"
-    ORDER_FOUR = "III/III*"
-    ORDER_THREE = "IV/IV*"
-    UNRECOGNIZED = "unrecognized"
-
-
-def _class_of(t: Mat2) -> MonodromyClass:
-    """Trace/order class bucket of a normalised determinant-one matrix."""
     tr = t[0][0] + t[1][1]
     if tr > 2 or tr < -2:
-        return MonodromyClass.UNRECOGNIZED
+        return "unrecognized"
     if tr == 2:
-        return MonodromyClass.IDENTITY if t == IDENTITY else MonodromyClass.UNIPOTENT
+        return "identity" if t == IDENTITY else "I_n"
     if tr == -2:
-        return (
-            MonodromyClass.MINUS_IDENTITY
-            if t == MINUS_IDENTITY
-            else MonodromyClass.MINUS_UNIPOTENT
-        )
-    if tr == 1:
-        return MonodromyClass.ORDER_SIX
-    if tr == 0:
-        return MonodromyClass.ORDER_FOUR
-    return MonodromyClass.ORDER_THREE
+        return "I*_0" if t == MINUS_IDENTITY else "I*_n"
+    return {1: "II/II*", 0: "III/III*", -1: "IV/IV*"}[tr]
 
 
 class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
@@ -133,10 +107,10 @@ class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
         return len(self.matrices)
 
 
-def validate_representation(rep: MonodromyRep) -> tuple[MonodromyClass, ...]:
+def validate_representation(rep: MonodromyRep) -> tuple[str, ...]:
     """Check determinants, the identity product, and declared classes.
 
-    Returns the per-matrix class buckets on success and raises
+    Returns the per-matrix class names on success and raises
     DetNotOne / ProductNotIdentity / ClassMismatch otherwise, in that
     order of precedence, each at its first offending index.  One pass
     over the matrices, which `MonodromyRep` has already normalised.
@@ -151,7 +125,7 @@ def validate_representation(rep: MonodromyRep) -> tuple[MonodromyClass, ...]:
         p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
         cls = _class_of(t)
         classes.append(cls)
-        if mismatch is None and label is not None and cls is not _class_of(_monodromy(label)):
+        if mismatch is None and label is not None and cls != _class_of(_monodromy(label)):
             mismatch = (idx, label, cls)
     if (p, q, r, s) != (1, 0, 0, 1):
         raise ProductNotIdentity(((p, q), (r, s)))
