@@ -252,13 +252,14 @@ def _load_matrix_file(path: str) -> list[list[int]]:
         raw = _load_json_file(path, text)
         if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
             raise InputError(path, "expected an array of arrays of integers")
-        return [[_integer(x, path) for x in row] for row in raw]
-    rows = [
-        [_integer(tok, f"{path}:{lineno}", text=True) for tok in line.split()]
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not rows:
+        rows = [[_integer(x, path) for x in row] for row in raw]
+    else:
+        rows = [
+            [_integer(tok, f"{path}:{lineno}", text=True) for tok in line.split()]
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+    if not any(rows):  # no entries: [], [[]], or only blank lines
         raise InputError(path, "empty matrix file")
     return rows
 
@@ -289,7 +290,7 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
         lines.append(f"rank gate (r <= {RANK_GATE_BOUND}): {gate}")
         if report.monodromy_quotient is not None:
             note = "" if report.monodromy_quotient_trivial else " (expected trivial)"
-            lines.append(f"monodromy quotient: {report.monodromy_quotient}{note}")
+            lines.append(f"monodromy quotient: {report.monodromy_quotient.describe()}{note}")
         lines.append(f"verdict: {report.verdict.kind if report.verdict else 'undetermined'}")
         return report.to_json_dict(), lines, 0
 

@@ -87,38 +87,6 @@ class DuValType(namedtuple("DuValType", "kind n")):
             raise ValueError(f"invalid Du Val label {label!r}")
         return cls(m[1], int(m[2]))
 
-    def diagram_edges(self) -> list[tuple[int, int]]:
-        """Edges of the Dynkin diagram on vertices 0..n-1.
-
-        A_n is the path 0-1-...-(n-1).  D_n is the path 0..n-3 with the
-        two extra vertices n-2, n-1 attached to vertex n-3.  E_n is the
-        path 0..n-2 with vertex n-1 attached to vertex 2.
-        """
-        n = self.n
-        if self.kind == "A":
-            return [(i, i + 1) for i in range(n - 1)]
-        if self.kind == "D":
-            edges = [(i, i + 1) for i in range(n - 3)]
-            edges += [(n - 3, n - 2), (n - 3, n - 1)]
-            return edges
-        edges = [(i, i + 1) for i in range(n - 2)]
-        edges.append((2, n - 1))
-        return edges
-
-    def cartan_matrix(self) -> list[list[int]]:
-        """Positive-definite Cartan matrix: 2 on the diagonal, -1 per edge."""
-        n = self.n
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = 2
-        for i, j in self.diagram_edges():
-            mat[i][j] = -1
-            mat[j][i] = -1
-        return mat
-
-    def __str__(self) -> str:
-        return self.label
-
 
 class AdeConfig(namedtuple("AdeConfig", "entries")):
     """A multiset of Du Val types, stored as a canonically sorted tuple."""
@@ -143,9 +111,6 @@ class AdeConfig(namedtuple("AdeConfig", "entries")):
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(self.labels) + "]"
 
 
 @lru_cache(maxsize=1024)

@@ -147,9 +147,6 @@ class KodairaType(namedtuple("KodairaType", "base n")):
             raise ValueError(f"label {label!r} takes no index")
         return cls(base)
 
-    def __str__(self) -> str:
-        return self.label
-
 
 class FiberData(namedtuple("FiberData", "fiber components dual_graph monodromy euler")):
     """Canonical table entry for one Kodaira fiber type: the components

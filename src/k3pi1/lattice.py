@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
 
-from .dynkin import DuValType
-
 __all__ = [
     "IntegerGram",
     "SnfResult",
@@ -161,15 +159,17 @@ def k3_gram() -> IntegerGram:
     """Gram matrix of U + U + U + E8(-1) + E8(-1).
 
     The rank-22 even unimodular lattice of signature (3,19) carried by
-    the second cohomology of a K3 surface.
+    the second cohomology of a K3 surface.  E8(-1) is -2 on the diagonal
+    and 1 per edge of the E8 diagram: the path 0..6 and vertex 7 on 2.
     """
     rows = [[0] * 22 for _ in range(22)]
     for at in (0, 2, 4):
         rows[at][at + 1] = rows[at + 1][at] = 1
-    e8 = DuValType("E", 8).cartan_matrix()
     for at in (6, 14):
         for i in range(8):
-            rows[at + i][at : at + 8] = [-x for x in e8[i]]
+            rows[at + i][at + i] = -2
+        for i, j in [(i, i + 1) for i in range(6)] + [(2, 7)]:
+            rows[at + i][at + j] = rows[at + j][at + i] = 1
     return IntegerGram.from_rows(rows)
 
 
@@ -372,8 +372,10 @@ def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
             off_bound[k] += 2 * abs(rows[k][j]) * b2
     tail_anisotropic = [n - k <= zero_at and _anisotropic(pivots[: n - k]) for k in range(n)]
 
+    # cross[i] = sum_{j < level} G[i][j] * x[j]; each level writes x[level]
+    # and cross[level + 1:] before a deeper level reads them
     x = [0] * n
-    cross = [0] * n  # cross[i] = sum_{j < level} G[i][j] * x[j]
+    cross = [0] * n
 
     def quad_range(c: int, a: int) -> tuple[int, int]:
         # extremes of a v^2 + 2 c v over integer v in [-B, B]: at +-B or beside -c/a
@@ -389,29 +391,20 @@ def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
     def last_level(partial: int, nonzero: bool) -> int | None:
         # minimal root of a v^2 + 2 c v + partial = 0 in the value order
         a = rows[n - 1][n - 1]
-        c = cross[n - 1]
-        roots: list[int] = []
-        if a == 0 and c == 0:
-            if partial == 0:
-                return 0 if nonzero else 1
-            return None
         if a == 0:
-            if partial % (2 * c) == 0:
-                roots.append(-partial // (2 * c))
-        else:
-            disc = c * c - a * partial
-            if disc >= 0:
-                s = isqrt(disc)
-                if s * s == disc:
-                    for num in (-c + s, -c - s):
-                        if num % a == 0:
-                            roots.append(num // a)
-        roots = [
-            v for v in set(roots) if abs(v) <= bound and (nonzero or v != 0)
-        ]
-        if not roots:
+            # G[n-1][n-1] = 0 sets zero_at to 0, which turns the anisotropy
+            # cut off, and the range cut never drops partial 0; value 0 comes
+            # first at every level, so this is the first leaf, with c = 0,
+            # partial = 0 and no nonzero coordinate: (0, ..., 0, 1) is a root
+            return 1
+        c = cross[n - 1]
+        disc = c * c - a * partial
+        s = isqrt(max(disc, 0))
+        if s * s != disc:  # no rational root
             return None
-        return min(roots, key=lambda v: (abs(v), -v))
+        roots = [num // a for num in {-c + s, -c - s} if num % a == 0]
+        roots = [v for v in roots if abs(v) <= bound and (nonzero or v != 0)]
+        return min(roots, key=lambda v: (abs(v), -v), default=None)
 
     def dfs(level: int, partial: int, nonzero: bool) -> tuple[int, ...] | None:
         if not nonzero and tail_anisotropic[level]:
@@ -439,9 +432,6 @@ def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
             hit = dfs(level + 1, new_partial, nonzero or v != 0)
             if hit is not None:
                 return hit
-        x[level] = 0
-        for i in range(level + 1, n):
-            cross[i] = saved[i - level - 1]
         return None
 
     return MeyerReport(signature=inertia, bound=bound, vector=dfs(0, 0, False))

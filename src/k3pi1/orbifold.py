@@ -64,9 +64,6 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
             return cls()
         return cls(tuple(int(part) for part in text.split(",")))
 
-    def __str__(self) -> str:
-        return "(" + ",".join(str(m) for m in self.cone_orders) + ")"
-
 
 def orbifold_euler_characteristic(s: OrbifoldSignature) -> Fraction:
     """chi = 2 - sum(1 - 1/m) over the cone orders, exactly."""
@@ -103,11 +100,11 @@ def classify(s: OrbifoldSignature) -> OrbifoldClass:
         g = gcd(2 * den, num)
         if g != num:
             raise AssertionError(
-                f"positive chi with non-integer 2/chi at {s}: {2 * den // g}/{num // g}"
+                f"positive chi with non-integer 2/chi at {orders}: {2 * den // g}/{num // g}"
             )
         return OrbifoldClass(SPHERICAL_OR_BAD, 2 * den // num)
     if num == 0:
         if orders not in EUCLIDEAN_SIGNATURES:
-            raise AssertionError(f"chi = 0 outside the euclidean table: {s}")
+            raise AssertionError(f"chi = 0 outside the euclidean table: {orders}")
         return OrbifoldClass(EUCLIDEAN)
     return OrbifoldClass(HYPERBOLIC)

@@ -192,9 +192,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
             parts.append(f"Z^{free}")
         return " x ".join(parts)
 
-    def __str__(self) -> str:
-        return self.describe()
-
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with g = gcd(a, b) = u a + v b."""

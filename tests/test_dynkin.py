@@ -23,13 +23,14 @@ from oracles import (
     det_cofactor,
     det_exact,
     gf_total,
+    neg_cartan_gram,
 )
 
 
 def test_du_val_data_examples():
     for t, data in [(DuValType("A", 1), (1, 2, 2)), (DuValType("D", 4), (4, 8, 4)),
                     (DuValType("E", 8), (8, 120, 1))]:
-        assert (t.rank, t.delta, det_cofactor(t.cartan_matrix())) == data
+        assert (t.rank, t.delta, det_cofactor(_cartan(t))) == data
 
 
 def test_invalid_labels_rejected():
@@ -73,7 +74,7 @@ def test_contribution_bound_three_halves_rank():
 
 def test_cartan_matrices_positive_definite_with_expected_det():
     for t in _all_types(20):
-        mat = t.cartan_matrix()
+        mat = _cartan(t)
         # leading principal minors all positive, full det matches table
         for k in range(1, t.n + 1):
             sub = [row[:k] for row in mat[:k]]
@@ -95,8 +96,10 @@ def test_recognize_star_d4():
 
 
 def test_recognize_all_diagrams_round_trip():
+    # diagrams from the test oracle, not from the package
     for t in _all_types(20):
-        edges = t.diagram_edges()
+        mat = _cartan(t)
+        edges = [(i, j) for i in range(t.n) for j in range(i) if mat[i][j]]
         assert recognize_ade(range(t.n), edges) == [t]
 
 
@@ -271,3 +274,8 @@ def test_multisets_match_brute_force_in_pre_order(weights, budget):
 
 def _all_types(max_rank):
     return [DuValType(*p) for p in ade_types(max_rank)]
+
+
+def _cartan(t):
+    """The positive-definite Cartan matrix of t: the oracle's block, negated."""
+    return [[-x for x in row] for row in neg_cartan_gram([(t.kind, t.n)])]

@@ -201,6 +201,14 @@ def test_k3_gram():
     assert g.is_even
     assert det_exact(g.rows) == -1
     assert signature(g) == (3, 19, 0)
+    # the block sum U + U + U + E8(-1) + E8(-1), E8 from the test oracle
+    blocks = [[[0, 1], [1, 0]]] * 3 + [neg_cartan_gram([("E", 8)])] * 2
+    expected, at = [[0] * 22 for _ in range(22)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            expected[at + i][at : at + len(block)] = row
+        at += len(block)
+    assert g.rows == tuple(map(tuple, expected))
 
 
 def test_signature_examples():
@@ -380,6 +388,27 @@ def test_meyer_gate():
         degenerate += rep.signature[2] > 0
     assert signature(IntegerGram.from_rows(forms[0])) == (1, 1, 1)
     assert degenerate >= 75, degenerate
+
+
+def test_meyer_gate_on_a_zero_last_diagonal_returns_the_last_basis_vector():
+    # value 0 comes first at every level and G[n-1][n-1] = 0 makes the
+    # last basis vector isotropic, so the search's first leaf answers
+    rng = random.Random(4015)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = _random_symmetric(rng, n)
+        rows[n - 1][n - 1] = 0
+        rep = meyer_gate(IntegerGram.from_rows(rows), rng.randint(1, 4))
+        assert rep.vector == (0,) * (n - 1) + (1,), rows
+
+
+def test_meyer_gate_rejects_a_bound_below_one():
+    g = IntegerGram.from_rows([[0, 1], [1, 0]])
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            meyer_gate(g, bound)
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            isotropic_search(g, bound)
 
 
 def test_meyer_gate_random_even_indefinite_diagonals():
