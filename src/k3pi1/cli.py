@@ -155,7 +155,7 @@ def _known_keys(raw: dict, field: str, *keys: str) -> None:
         raise InputError(where, "unknown field" if field else "unknown top-level field")
 
 
-def _parse_monodromy(raw: object, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
+def _parse_rep(raw: object, field: str, fibers: list[Decoration] | None) -> MonodromyRep:
     if not isinstance(raw, list):
         raise InputError(field, "expected a list of 2x2 matrices")
     mats = []
@@ -242,7 +242,7 @@ def load_config(path: str) -> NormalK3Input:
     ]
     monodromy = None
     if "monodromy" in raw:
-        monodromy = _parse_monodromy(raw["monodromy"], "monodromy", fibers)
+        monodromy = _parse_rep(raw["monodromy"], "monodromy", fibers)
     return NormalK3Input.fibered(fibers, monodromy)
 
 
@@ -393,24 +393,24 @@ def _cmd_kodaira_info(args) -> tuple[dict, list[str], int]:
     data = fiber_data(fiber)
     payload = {
         "label": fiber.label,
-        "euler": data.euler,
+        "euler": fiber.euler,
         "components": [{"id": cid, "multiplicity": m} for cid, m in data.components],
         "dual_graph": [list(edge) for edge in data.dual_graph],
-        "monodromy": [list(row) for row in data.monodromy],
+        "monodromy": [list(row) for row in fiber.monodromy],
     }
     comps = ", ".join(f"{cid}:{m}" for cid, m in data.components)
-    lines = [f"fiber {fiber.label}: euler {data.euler}", f"components: {comps}"]
+    lines = [f"fiber {fiber.label}: euler {fiber.euler}", f"components: {comps}"]
     if data.dual_graph:
         edges = ", ".join(
             f"{u}-{v}" + (f" (x{w})" if w > 1 else "") for u, v, w in data.dual_graph
         )
         lines.append(f"dual graph: {edges}")
-    lines.append(f"monodromy: {data.monodromy[0]} {data.monodromy[1]}")
+    lines.append(f"monodromy: {fiber.monodromy[0]} {fiber.monodromy[1]}")
     return payload, lines, 0
 
 
 def _cmd_pi1_quotient(args) -> tuple[dict, list[str], int]:
-    rep = _parse_monodromy(_load_json_file(args.repfile), args.repfile, None)
+    rep = _parse_rep(_load_json_file(args.repfile), args.repfile, None)
     with _field(args.repfile):
         validate_representation(rep)
     subset = None

@@ -19,6 +19,7 @@ cyclotomic matrix entries.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Hashable, Iterable, Iterator, Sequence
@@ -44,11 +45,12 @@ class NotAdeError(ValueError):
 class DuValType(namedtuple("DuValType", "kind n")):
     """A Dynkin label: kind in {A, D, E} with the usual rank restrictions.
 
-    Ordered as the pair (kind, n)."""
+    The rank n is an integer.  Ordered as the pair (kind, n)."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, n: int) -> "DuValType":
+        n = operator.index(n)
         if kind == "A":
             ok = n >= 1
         elif kind == "D":

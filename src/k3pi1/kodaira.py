@@ -1,9 +1,9 @@
 """Kodaira singular fiber tables and decorations.
 
-Each singular fiber type of an elliptic surface carries: an ordered
-list of components with multiplicities, the dual graph of the
-components (edge weights are intersection numbers), a canonical SL(2,Z)
-monodromy representative, and its Euler number.  A decoration marks a
+Each singular fiber type of an elliptic surface carries its Euler
+number and a canonical SL(2,Z) monodromy; its table (`fiber_data`)
+lists the components with multiplicities and their dual graph (edge
+weights are intersection numbers).  A decoration marks a
 proper subset of the components as "removed": the removed curves are
 the ones contracted to Du Val points, the kept components determine the
 cone order of the base orbifold as the gcd of their multiplicities.
@@ -31,6 +31,7 @@ only through conjugation invariants (trace and multiplicative order).
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
@@ -60,8 +61,15 @@ __all__ = [
 
 K3_EULER_NUMBER = 24
 
-_PLAIN = ("II", "III", "IV", "IV*", "III*", "II*")
-_PLAIN_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+# the fiber types without an index: base -> (Euler number, monodromy)
+_PLAIN = {
+    "II": (2, ((1, 1), (-1, 0))),
+    "III": (3, ((0, 1), (-1, 0))),
+    "IV": (4, ((0, 1), (-1, -1))),
+    "IV*": (8, ((-1, -1), (1, 0))),
+    "III*": (9, ((0, -1), (1, 0))),
+    "II*": (10, ((0, -1), (1, 1))),
+}
 _LABEL_RE = re.compile(r"(I\*|I|II\*|II|III\*|III|IV\*|IV)(0|[1-9][0-9]*)?")
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -100,11 +108,13 @@ class EulerSumMismatch(DecorationError):
 
 class KodairaType(namedtuple("KodairaType", "base n")):
     """A Kodaira fiber label: I_n (n >= 1), II, III, IV, I*_n (n >= 0),
-    IV*, III*, II*.  Ordered as the pair (base, n)."""
+    IV*, III*, II*, with n an integer.  Ordered as the pair (base, n)."""
 
     __slots__ = ()
 
     def __new__(cls, base: str, n: int | None = None) -> "KodairaType":
+        if n is not None:
+            n = operator.index(n)
         if base == "I":
             if n is None or n < 1:
                 raise ValueError(f"type I needs n >= 1, got {n}")
@@ -130,7 +140,16 @@ class KodairaType(namedtuple("KodairaType", "base n")):
             return self.n
         if self.base == "I*":
             return self.n + 6
-        return _PLAIN_EULER[self.base]
+        return _PLAIN[self.base][0]
+
+    @property
+    def monodromy(self) -> Mat2:
+        """Kodaira's canonical SL(2,Z) representative, read in O(1) for any n."""
+        if self.base == "I":
+            return ((1, self.n), (0, 1))
+        if self.base == "I*":
+            return ((-1, -self.n), (0, -1))
+        return _PLAIN[self.base][1]
 
     @classmethod
     def parse(cls, label: str) -> "KodairaType":
@@ -148,31 +167,15 @@ class KodairaType(namedtuple("KodairaType", "base n")):
         return cls(base)
 
 
-class FiberData(namedtuple("FiberData", "fiber components dual_graph monodromy euler")):
-    """Canonical table entry for one Kodaira fiber type: the components
-    as (id, multiplicity) pairs, the dual graph as (id, id, weight)
-    edges, the monodromy matrix and the Euler number."""
+class FiberData(namedtuple("FiberData", "components dual_graph")):
+    """Canonical table of one Kodaira fiber type: the components as (id,
+    multiplicity) pairs and the dual graph as (id, id, weight) edges."""
 
     __slots__ = ()
 
     @property
     def component_ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.components)
-
-
-def _monodromy(t: KodairaType) -> Mat2:
-    if t.base == "I":
-        return ((1, t.n), (0, 1))
-    if t.base == "I*":
-        return ((-1, -t.n), (0, -1))
-    return {
-        "II": ((1, 1), (-1, 0)),
-        "III": ((0, 1), (-1, 0)),
-        "IV": ((0, 1), (-1, -1)),
-        "IV*": ((-1, -1), (1, 0)),
-        "III*": ((0, -1), (1, 0)),
-        "II*": ((0, -1), (1, 1)),
-    }[t.base]
 
 
 # IV*, III*, II*: paths of components meeting once, in fiber order,
@@ -210,7 +213,7 @@ def _star(base: str) -> tuple[str, list[list[str]], dict[str, int]]:
 # tables of up to 10^5 components, so only the most recent few are kept
 @lru_cache(maxsize=32)
 def fiber_data(t: KodairaType) -> FiberData:
-    """Canonical component/multiplicity/monodromy data for a fiber type."""
+    """The components, with multiplicities, and dual graph of a fiber type."""
     comps: list[tuple[str, int]] = []
     edges: list[tuple[str, str, int]] = []
     n = _CYCLES.get(t.base, t.n)
@@ -233,16 +236,7 @@ def fiber_data(t: KodairaType) -> FiberData:
         paths = [path.split() for path in _STARS[t.base][2]]
         comps = [(cid, mult[cid]) for cid in dict.fromkeys(c for path in paths for c in path)]
         edges = [(u, v, 1) for path in paths for u, v in zip(path, path[1:])]
-    mono = _monodromy(t)
-    det = mono[0][0] * mono[1][1] - mono[0][1] * mono[1][0]
-    assert det == 1, t.label
-    return FiberData(
-        fiber=t,
-        components=tuple(comps),
-        dual_graph=tuple(edges),
-        monodromy=mono,
-        euler=t.euler,
-    )
+    return FiberData(tuple(comps), tuple(edges))
 
 
 class Decoration(namedtuple("Decoration", "fiber removed")):

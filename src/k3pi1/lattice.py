@@ -329,24 +329,13 @@ class MeyerReport(namedtuple("MeyerReport", "signature bound vector")):
     __slots__ = ()
 
     @property
-    def rank(self) -> int:
-        return self.signature[0] + self.signature[1]
-
-    @property
-    def indefinite(self) -> bool:
-        return self.signature[0] > 0 and self.signature[1] > 0
-
-    @property
     def hypotheses_hold(self) -> bool:
-        return self.indefinite and self.rank >= 5
-
-    @property
-    def exhausted(self) -> bool:
-        return self.vector is None
+        pos, neg, _ = self.signature
+        return pos > 0 and neg > 0 and pos + neg >= 5
 
     @property
     def hypotheses_hold_but_exhausted(self) -> bool:
-        return self.hypotheses_hold and self.exhausted
+        return self.hypotheses_hold and self.vector is None
 
 
 def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:

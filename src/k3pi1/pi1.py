@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
 
-from .kodaira import KodairaType, Mat2, _int_text, _monodromy
+from .kodaira import KodairaType, Mat2, _int_text
 # smith_normal_form is not used here, but perfbench/worker.py traces it as
 # pi1.smith_normal_form, so the name stays importable from this module
 from .lattice import smith_normal_form  # noqa: F401
@@ -125,7 +125,7 @@ def validate_representation(rep: MonodromyRep) -> tuple[str, ...]:
         p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
         cls = _class_of(t)
         classes.append(cls)
-        if mismatch is None and label is not None and cls != _class_of(_monodromy(label)):
+        if mismatch is None and label is not None and cls != _class_of(label.monodromy):
             mismatch = (idx, label, cls)
     if (p, q, r, s) != (1, 0, 0, 1):
         raise ProductNotIdentity(((p, q), (r, s)))
@@ -166,12 +166,8 @@ class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
         return not self.invariant_factors
 
     @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
-    @property
     def order(self) -> int | None:
-        if not self.is_finite:
+        if self.rank:
             return None
         total = 1
         for d in self.invariant_factors:

@@ -217,7 +217,7 @@ def test_criterion_6_meyer_search():
             assert max(abs(c) for c in report.vector) <= 50, entries
 
         report = meyer_gate(IntegerGram.from_rows([[1, 0], [0, -3]]), 100)
-        assert report.exhausted
+        assert report.vector is None
 
         for definite in [
             IntegerGram.from_rows([[2, 0], [0, 2]]),
@@ -225,7 +225,7 @@ def test_criterion_6_meyer_search():
             IntegerGram.from_rows(neg_cartan_gram([("D", 4), ("A", 2)])),
         ]:
             report = meyer_gate(definite, 50)
-            assert report.exhausted
+            assert report.vector is None
             assert not report.hypotheses_hold
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"{elapsed:.1f}s"

@@ -403,6 +403,18 @@ def test_answers_past_the_int_to_str_limit_print_exactly(tmp_path):
     assert err.startswith("error: singularities:") and err.count("\n") == 1
 
 
+def test_exact_digits_leaves_an_interpreter_without_the_limit_alone(monkeypatch):
+    # before Python 3.10.7 there is no int-to-str limit to lift: the block
+    # runs once and the limit the interpreter reports stays as it was
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    runs = []
+    with cli._exact_digits():
+        runs.append(sys.get_int_max_str_digits())
+    assert runs == [limit]
+    assert sys.get_int_max_str_digits() == limit
+
+
 _KEYS = ["singularities", "fibration", "fibers", "monodromy", "kodaira", "n", "removed",
          "matrix", "declared"]
 _LABELS = ["A1", "A01", "A0", "D3", "D4", "E8", "E9", "Q7", "I", "I*", "I3", "I*0", "II", "III",

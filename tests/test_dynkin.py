@@ -109,6 +109,13 @@ def test_recognize_disjoint_union():
     assert recognize_ade(nodes, edges) == [DuValType("A", 1), DuValType("A", 2)]
 
 
+def test_recognize_refuses_an_edge_to_an_unknown_vertex():
+    # a malformed graph, not a graph that is no ADE diagram
+    with pytest.raises(ValueError, match="unknown vertex") as exc:
+        recognize_ade(["a"], [("a", "b")])
+    assert not isinstance(exc.value, NotAdeError)
+
+
 def test_recognize_rejections():
     with pytest.raises(NotAdeError):
         recognize_ade([0, 1, 2], [(0, 1), (1, 2), (2, 0)])  # cycle

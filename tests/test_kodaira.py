@@ -25,7 +25,7 @@ from k3pi1.kodaira import (
     validate_k3_fibration,
 )
 
-from oracles import mat2_power_order
+from oracles import fiber_monodromy, mat2_power_order
 
 I = KodairaType.parse
 
@@ -131,19 +131,20 @@ def test_euler_numbers():
 
 
 def test_istar0_table():
-    data = fiber_data(I("I*0"))
-    assert data.euler == 6
+    t, data = I("I*0"), fiber_data(I("I*0"))
+    assert t.euler == 6
     assert sorted(m for _, m in data.components) == [1, 1, 1, 1, 2]
-    assert data.monodromy == ((-1, 0), (0, -1))
-    assert mat2_power_order(data.monodromy) == 2
+    assert t.monodromy == ((-1, 0), (0, -1))
+    assert mat2_power_order(t.monodromy) == 2
 
 
 def test_i3_table():
-    data = fiber_data(I("I3"))
-    assert data.euler == 3
+    fiber = I("I3")
+    data = fiber_data(fiber)
+    assert fiber.euler == 3
     assert [m for _, m in data.components] == [1, 1, 1]
     assert len(data.dual_graph) == 3
-    t = data.monodromy
+    t = fiber.monodromy
     assert t == ((1, 3), (0, 1))
     assert t[0][0] + t[1][1] == 2
     assert mat2_power_order(t) is None  # infinite order
@@ -157,17 +158,25 @@ def test_i3_table():
 
 
 def test_iistar_table():
-    data = fiber_data(I("II*"))
-    assert data.euler == 10
+    t, data = I("II*"), fiber_data(I("II*"))
+    assert t.euler == 10
     assert sorted(m for _, m in data.components) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
-    assert data.monodromy[0][0] + data.monodromy[1][1] == 1
-    assert mat2_power_order(data.monodromy) == 6
+    assert t.monodromy[0][0] + t.monodromy[1][1] == 1
+    assert mat2_power_order(t.monodromy) == 6
+
+
+def test_monodromy_matches_the_oracle_without_building_a_table():
+    fiber_data.cache_clear()
+    huge = [KodairaType("I", 10**12), KodairaType("I*", 10**12)]
+    for t in _euler_24_types() + huge:
+        assert t.monodromy == fiber_monodromy(t.base, t.n), t.label
+    assert fiber_data.cache_info().currsize == 0
 
 
 def test_monodromy_determinants_and_orders():
     orders = {"II": 6, "III": 4, "IV": 3, "IV*": 3, "III*": 4, "II*": 6}
     for t in _small_types():
-        m = fiber_data(t).monodromy
+        m = t.monodromy
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert det == 1, t.label
         tr = m[0][0] + m[1][1]

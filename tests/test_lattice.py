@@ -9,6 +9,7 @@ import pytest
 
 from k3pi1.lattice import (
     IntegerGram,
+    MeyerReport,
     _anisotropic,
     _pivots,
     isotropic_search,
@@ -359,7 +360,7 @@ def test_meyer_gate():
     definite = IntegerGram.from_rows([[2, 0], [0, 2]])
     rep = meyer_gate(definite, 20)
     assert not rep.hypotheses_hold
-    assert rep.exhausted
+    assert rep.vector is None
     assert not rep.hypotheses_hold_but_exhausted
 
     # the gate reads the signature from the search's diagonalisation of
@@ -409,6 +410,11 @@ def test_meyer_gate_rejects_a_bound_below_one():
             meyer_gate(g, bound)
         with pytest.raises(ValueError, match="bound must be a positive integer"):
             isotropic_search(g, bound)
+
+
+def test_meyer_gate_on_the_form_of_dimension_zero():
+    # no coordinates: signature (0, 0, 0) and no nonzero vector to find
+    assert meyer_gate(IntegerGram(()), 3) == MeyerReport((0, 0, 0), 3, None)
 
 
 def test_meyer_gate_random_even_indefinite_diagonals():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3pi1.kodaira import KodairaType, fiber_data
+from k3pi1.kodaira import KodairaType
 from k3pi1.lattice import smith_normal_form
 from k3pi1.pi1 import (
     IDENTITY,
@@ -102,7 +102,7 @@ def test_canonical_fiber_matrices_hit_their_buckets():
         "II*": "II/II*",
     }
     for label, bucket in buckets.items():
-        (a, b), (c, d) = t = fiber_data(KodairaType.parse(label)).monodromy
+        (a, b), (c, d) = t = KodairaType.parse(label).monodromy
         inverse = ((d, -b), (-c, a))
         assert validate_representation(MonodromyRep((t, inverse)))[0] == bucket, label
     assert validate_representation(MonodromyRep((IDENTITY, IDENTITY))) == ("identity", "identity")
@@ -204,7 +204,7 @@ def test_quotient_shrinks_as_subset_grows():
         sizes = []
         for upto in range(5):
             q = coinvariant_quotient(rep, range(upto))
-            sizes.append(q.order if q.is_finite else None)
+            sizes.append(q.order)
         # None is "infinite"; the order divides as generators accumulate
         for small, large in zip(sizes[1:], sizes):
             if large is None:
@@ -318,7 +318,7 @@ def _matrices(draw):
         return word
     base, n = draw(st.sampled_from(_LABELS))
     fiber = KodairaType(base, None if n is None else min(n, 9))
-    return _conjugate(word, fiber_data(fiber).monodromy)
+    return _conjugate(word, fiber.monodromy)
 
 
 @st.composite

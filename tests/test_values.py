@@ -39,8 +39,7 @@ FIELDS = [
     (DuValType, {"kind": "A", "n": 1}),
     (AdeConfig, {"entries": (A1, D4)}),
     (KodairaType, {"base": "I*", "n": 0}),
-    (FiberData, {"fiber": I2, "components": (("c0", 1), ("c1", 1)),
-                 "dual_graph": (("c0", "c1", 2),), "monodromy": ((1, 2), (0, 1)), "euler": 2}),
+    (FiberData, {"components": (("c0", 1), ("c1", 1)), "dual_graph": (("c0", "c1", 2),)}),
     (Decoration, {"fiber": I0S, "removed": frozenset({"t1"})}),
     (DecorationOutcome, {"fiber": I0S, "m": 1, "config": AdeConfig((A1,)),
                          "removed": frozenset({"t1"})}),
@@ -209,6 +208,20 @@ def test_normalisation():
     assert MonodromyRep((T,), [I2]).declared == (I2,)
 
     assert IntegerGram([[2, -1], [-1, 2]]).rows == ((2, -1), (-1, 2))
+
+
+def test_an_index_must_be_an_integer():
+    # read through operator.index: a float is refused rather than stored,
+    # where it would reach exact arithmetic or a removed-set check
+    cases = [(DuValType, "A", 1.5), (DuValType, "E", 8.0), (KodairaType, "I", 2.5),
+             (KodairaType, "I*", 1.0), (KodairaType, "II", 1.0)]
+    for cls, base, n in cases:
+        with pytest.raises(TypeError):
+            cls(base, n)
+    # a bool is an integer, stored as a plain int
+    assert DuValType("A", True) == A1 and type(DuValType("A", True).n) is int
+    assert KodairaType("I", True).label == "I1" and type(KodairaType("I", True).n) is int
+    assert KodairaType("I*", False).label == "I*0"
 
 
 def test_equal_fields_give_equal_objects_and_hashes():
