@@ -472,15 +472,6 @@ def _istar_keys(n: int) -> dict[OutcomeKey, list[str]]:
     return keys
 
 
-def _outcome_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
-    """Every outcome key of a fiber type, each with one removed set."""
-    if t.base == "I*":
-        return _istar_keys(t.n)
-    if t.base in _STARS:
-        return _subset_keys(t)
-    return _cycle_keys(_CYCLES.get(t.base, t.n))
-
-
 @lru_cache(maxsize=None)
 def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """All decoration classes of a fiber type, one representative each,
@@ -492,7 +483,13 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     and II*, with at most 9 components, are enumerated by brute force
     over subsets.
     """
-    return tuple(_outcome(t, key, ids) for key, ids in sorted(_outcome_keys(t).items()))
+    if t.base == "I*":
+        keys = _istar_keys(t.n)
+    elif t.base in _STARS:
+        keys = _subset_keys(t)
+    else:
+        keys = _cycle_keys(_CYCLES.get(t.base, t.n))
+    return tuple(_outcome(t, key, ids) for key, ids in sorted(keys.items()))
 
 
 # Counting I_n and I*_n outcomes without their keys.  A removed set of

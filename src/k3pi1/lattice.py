@@ -13,6 +13,7 @@ anisotropy test.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -39,7 +40,7 @@ class IntegerGram(namedtuple("IntegerGram", "rows")):
     __slots__ = ()
 
     def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "IntegerGram":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -63,24 +64,24 @@ class IntegerGram(namedtuple("IntegerGram", "rows")):
         return all(self.rows[i][i] % 2 == 0 for i in range(self.dim))
 
 
-class SnfResult(namedtuple("SnfResult", "u d v")):
-    """U A V = D with U, V unimodular and D the Smith normal form, each
-    matrix a tuple of row tuples."""
+class SnfResult(namedtuple("SnfResult", "u diagonal v")):
+    """U A V = D with U, V unimodular and D the Smith normal form, stored
+    as its diagonal; U, V and D are tuples of row tuples."""
 
     __slots__ = ()
 
     @property
-    def diagonal(self) -> tuple[int, ...]:
-        m = len(self.d)
-        n = len(self.d[0]) if m else 0
-        return tuple(self.d[i][i] for i in range(min(m, n)))
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        zero = (0,) * len(self.v)
+        rows = [zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(self.diagonal)]
+        return tuple(rows) + (zero,) * (len(self.u) - len(rows))
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
     """Smith normal form of an arbitrary rectangular integer matrix.
 
-    Returns (U, D, V) with U A V = D, |det U| = |det V| = 1, and
-    D diagonal, nonnegative, with d1 | d2 | ... followed by zeros.
+    Returns (U, diagonal of D, V) with U A V = D, |det U| = |det V| = 1,
+    and D diagonal, nonnegative, with d1 | d2 | ... followed by zeros.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -89,7 +90,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     # [A | U] over V: an operation on the first m rows moves A and U, one
     # on the first n columns moves A and V.  Rows of A above the pivot
     # are zero from its column on, so column operations start there.
-    mat = [[*map(int, row)] + [0] * m for row in a] + [[0] * n for _ in range(n)]
+    mat = [[*map(operator.index, row)] + [0] * m for row in a] + [[0] * n for _ in range(n)]
     for i in range(m):
         mat[i][n + i] = 1
     for i in range(n):
@@ -150,7 +151,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 
     return SnfResult(
         u=tuple(tuple(row[n:]) for row in mat[:m]),
-        d=tuple(tuple(row[:n]) for row in mat[:m]),
+        diagonal=tuple(mat[t][t] for t in range(min(m, n))),
         v=tuple(tuple(row) for row in mat[m:]),
     )
 

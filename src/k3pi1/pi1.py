@@ -12,6 +12,7 @@ computes the quotient from a triangular basis of the relation lattice.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
@@ -95,7 +96,7 @@ class MonodromyRep(namedtuple("MonodromyRep", "matrices declared")):
         for m in matrices:
             if len(m) != 2 or any(len(row) != 2 for row in m):
                 raise ValueError("expected a 2x2 matrix")
-            mats.append(tuple((int(row[0]), int(row[1])) for row in m))
+            mats.append(tuple(tuple(map(operator.index, row)) for row in m))
         declared = tuple(declared)
         if not declared:
             declared = (None,) * len(mats)
@@ -144,7 +145,7 @@ class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
     __slots__ = ()
 
     def __new__(cls, invariant_factors: tuple[int, ...] = ()) -> "AbelianGroup":
-        factors = tuple(int(d) for d in invariant_factors if d != 1)
+        factors = tuple(d for d in map(operator.index, invariant_factors) if d != 1)
         for d in factors:
             if d < 0:
                 raise ValueError("invariant factors must be nonnegative")
@@ -220,7 +221,7 @@ def coinvariant_quotient(
     if subset is None:
         indices = range(k)
     else:
-        indices = sorted(set(int(j) for j in subset))
+        indices = sorted(set(map(operator.index, subset)))
         for j in indices:
             if not 0 <= j < k:
                 raise ValueError(f"subset index {j} out of range 0..{k - 1}")

@@ -136,15 +136,15 @@ def _frac_str(x: Fraction) -> str:
 class Report(
     namedtuple(
         "Report",
-        "config e_orb fibers cone_orders classification verdict monodromy_quotient",
-        defaults=(None,) * 5,
+        "config e_orb fibers classification monodromy_quotient",
+        defaults=(None,) * 3,
     )
 ):
     """Everything the pipeline derives from one input.  The fields after
     `e_orb` default to None, which marks what does not apply to the input
     (the fiber data of bare input) or was not computed (the monodromy
-    quotient without a representation).  The input kind, the rank, the
-    rank gate and the consistency checks are derived from the fields."""
+    quotient without a representation).  The rest is derived from the
+    fields: the input kind, the rank, the verdict and the checks."""
 
     __slots__ = ()
 
@@ -156,6 +156,21 @@ class Report(
     @property
     def r(self) -> int:
         return self.config.rank
+
+    @property
+    def cone_orders(self) -> tuple[int, ...] | None:
+        if self.fibers is None:
+            return None
+        return OrbifoldSignature(f.m for f in self.fibers).cone_orders
+
+    @property
+    def verdict(self) -> Verdict | None:
+        """By the base orbifold's class, or for bare input by r <= 15 or e_orb = 0."""
+        if self.classification is not None:
+            return Verdict(_VERDICT_OF_CLASS[self.classification.kind])
+        if self.fibers is None and (self.rank_gate_passes or self.e_orb == 0):
+            return Verdict(FINITE_FUNDAMENTAL_GROUP if self.rank_gate_passes else TORUS_COVER)
+        return None
 
     @property
     def rank_gate_passes(self) -> bool:
@@ -198,7 +213,7 @@ class Report(
             "e_orb": _frac_str(self.e_orb),
             "singularities": list(self.config.labels),
             "fibers": fibers,
-            "cone_orders": list(self.cone_orders) if self.cone_orders is not None else None,
+            "cone_orders": None if self.fibers is None else list(self.cone_orders),
             "classification": self.classification.kind if self.classification else None,
             "orbifold_order": self.classification.order if self.classification else None,
             "verdict": self.verdict.kind if self.verdict else None,
@@ -225,30 +240,25 @@ def analyze(input_: NormalK3Input) -> Report:
     removed configurations of the fibers.  When the rank gate passes,
     the orbifold Euler number must come out >= 3/2 (minimum at fifteen
     A_1 points), which is asserted as an internal consistency check.
-    Bare input is decided by the rank gate or by e_orb = 0 (a torus
-    cover), and may stay undecided.  Fibered input is decided by the
-    classification of its base orbifold; a monodromy representation is
-    validated, and its quotient computed when the base orbifold is
-    simply connected.
+    Fibered input gets the classification of its base orbifold; a
+    monodromy representation is validated, and its quotient computed
+    when the base orbifold is simply connected.  `Report.verdict`
+    follows from what is returned.
     """
-    fibers = cone_orders = cls = quotient = None
+    fibers = cls = quotient = None
     if input_.fibers is None:
         config = input_.singularities
     else:
         fibers = validate_k3_fibration(input_.fibers)
         config = AdeConfig(p for f in fibers for p in f.config.entries)
     e_orb = orbifold_euler_number(config)
-    passes = config.rank <= RANK_GATE_BOUND
-    if passes and e_orb < Fraction(3, 2):
+    if config.rank <= RANK_GATE_BOUND and e_orb < Fraction(3, 2):
         raise AssertionError(
             f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
         )
 
-    if fibers is None:
-        verdict = FINITE_FUNDAMENTAL_GROUP if passes else TORUS_COVER if e_orb == 0 else None
-    else:
-        signature = OrbifoldSignature(f.m for f in fibers)
-        cone_orders, cls = signature.cone_orders, classify(signature)
+    if fibers is not None:
+        cls = classify(OrbifoldSignature(f.m for f in fibers))
         rep = input_.monodromy
         if rep is not None:
             if len(rep) != len(fibers):
@@ -256,17 +266,7 @@ def analyze(input_: NormalK3Input) -> Report:
             validate_representation(rep)
             if cls.kind == SPHERICAL_OR_BAD and cls.order == 1:
                 quotient = coinvariant_quotient(rep)
-        verdict = _VERDICT_OF_CLASS[cls.kind]
-
-    return Report(
-        config=config,
-        e_orb=e_orb,
-        fibers=fibers,
-        cone_orders=cone_orders,
-        classification=cls,
-        verdict=Verdict(verdict) if verdict else None,
-        monodromy_quotient=quotient,
-    )
+    return Report(config, e_orb, fibers, cls, quotient)
 
 
 # ----------------------------------------------------------------------

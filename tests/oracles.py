@@ -40,12 +40,6 @@ from math import gcd
 # integer polynomials (coefficient lists, low degree first)
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 def _poly_divmod_exact(a, b):
     """Divide integer polynomials; b must be monic and divide a exactly."""
     a = list(a)

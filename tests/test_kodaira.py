@@ -417,13 +417,14 @@ def test_validate_decoration_matches_the_graph_search_on_drawn_sets(d):
 def test_outcome_counts_match_the_outcome_keys():
     # the sweep's counts come from one arc table, never from keys; the
     # structural keys (checked against brute force above) are the oracle
-    # for every I_n and I*_n of Euler number <= 30
-    from k3pi1.kodaira import _outcome_counts, _outcome_keys
+    # for every I_n and I*_n of Euler number <= 30, read past the cache
+    from k3pi1.kodaira import _outcome_counts
 
     types = [KodairaType("I", n) for n in range(1, 31)]
     types += [KodairaType("I*", n) for n in range(0, 25)]
     for t in types:
-        assert _outcome_counts(t) == Counter(m for m, p in _outcome_keys(t) if p), t.label
+        outcomes = decoration_outcomes.__wrapped__(t)
+        assert _outcome_counts(t) == Counter(o.m for o in outcomes if o.config), t.label
 
 
 def test_decoration_outcomes_representatives_are_valid():

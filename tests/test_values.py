@@ -14,9 +14,9 @@ from k3pi1.kodaira import (
     FiberData,
     KodairaType,
 )
-from k3pi1.lattice import IntegerGram, MeyerReport, SnfResult
+from k3pi1.lattice import IntegerGram, MeyerReport, SnfResult, smith_normal_form
 from k3pi1.orbifold import OrbifoldClass, OrbifoldSignature
-from k3pi1.pi1 import AbelianGroup, MonodromyRep
+from k3pi1.pi1 import AbelianGroup, MonodromyRep, coinvariant_quotient
 from k3pi1.surface import (
     NormalK3Input,
     Report,
@@ -30,6 +30,8 @@ I2, I0S = KodairaType("I", 2), KodairaType("I*", 0)
 CONFIG = AdeConfig((A1, D4))
 DEC = Decoration(I0S, frozenset({"t1"}))
 OUTCOME = DecorationOutcome(I0S, 1, AdeConfig((A1,)), frozenset({"t1"}))
+# I*0 without its four tails: four A1 points under a fiber of multiplicity 2
+TAILS = DecorationOutcome(I0S, 2, AdeConfig((A1,) * 4), frozenset({"t1", "t2", "t3", "t4"}))
 T, T_INV = ((1, 1), (0, 1)), ((1, -1), (0, 1))
 QUOTIENT = AbelianGroup((2,))
 
@@ -44,7 +46,7 @@ FIELDS = [
     (DecorationOutcome, {"fiber": I0S, "m": 1, "config": AdeConfig((A1,)),
                          "removed": frozenset({"t1"})}),
     (IntegerGram, {"rows": ((2, -1), (-1, 2))}),
-    (SnfResult, {"u": ((1, 0), (0, 1)), "d": ((2, 0), (0, 0)), "v": ((1, 0), (0, 1))}),
+    (SnfResult, {"u": ((1, 0), (0, 1)), "diagonal": (2, 0), "v": ((1, 0), (0, 1))}),
     (MeyerReport, {"signature": (3, 2, 0), "bound": 2, "vector": (1, 0, 0, 1, 0)}),
     (OrbifoldSignature, {"cone_orders": (2, 3, 6)}),
     (OrbifoldClass, {"kind": "spherical_or_bad", "order": 12}),
@@ -53,9 +55,8 @@ FIELDS = [
     (NormalK3Input, {"singularities": None, "fibers": (DEC,), "monodromy": None}),
     (Verdict, {"kind": "FiniteFundamentalGroup"}),
     (Report, {"config": CONFIG, "e_orb": Fraction(35, 8),
-              "fibers": (OUTCOME,), "cone_orders": (2,),
-              "classification": OrbifoldClass("spherical_or_bad", 2),
-              "verdict": Verdict("FiniteFundamentalGroup"), "monodromy_quotient": QUOTIENT}),
+              "fibers": (OUTCOME,), "classification": OrbifoldClass("spherical_or_bad", 2),
+              "monodromy_quotient": QUOTIENT}),
     (SweepInstance, {"outcomes": (("I*0", 2, ("D4",), 4),), "cone_orders": (2, 2, 2, 2),
                      "classification": "euclidean", "r": 16, "e_orb": Fraction(0)}),
     (SweepResult, {"counts": {"euclidean": 1, "hyperbolic": 2}, "euclidean": [],
@@ -75,7 +76,7 @@ DEFAULTS = [
      {"singularities": CONFIG, "fibers": None, "monodromy": None}),
     (Report(CONFIG, Fraction(35, 8)),
      {"config": CONFIG, "e_orb": Fraction(35, 8), "fibers": None,
-      "cone_orders": None, "classification": None, "verdict": None, "monodromy_quotient": None}),
+      "classification": None, "monodromy_quotient": None}),
 ]
 
 
@@ -132,20 +133,42 @@ def test_fields_cannot_be_assigned(cls, fields):
 
 def test_report_derives_the_rank_gate_and_the_checks():
     derived = ("kind", "r", "rank_gate_passes", "rank_gate_consistent", "euclidean_euler_zero",
-               "monodromy_quotient_trivial")
-    torus = Report(AdeConfig((A1,) * 16), Fraction(0), (OUTCOME,) * 4,
-                   classification=OrbifoldClass("euclidean"), verdict=Verdict("TorusCover"))
+               "monodromy_quotient_trivial", "cone_orders", "verdict")
+    finite, torus = Verdict("FiniteFundamentalGroup"), Verdict("TorusCover")
+    kummer = Report(AdeConfig((A1,) * 16), Fraction(0), (TAILS,) * 4,
+                    classification=OrbifoldClass("euclidean"))
     for report, values in [
-        (Report(**dict(FIELDS)[Report]), ("fibered", 5, True, True, None, False)),
-        (Report(CONFIG, Fraction(35, 8)), ("bare", 5, True, None, None, None)),
-        (torus, ("fibered", 16, False, True, True, None)),
-        (torus._replace(config=CONFIG, e_orb=Fraction(35, 8)),
-         ("fibered", 5, True, False, False, None)),
+        (Report(**dict(FIELDS)[Report]), ("fibered", 5, True, True, None, False, (), finite)),
+        (Report(CONFIG, Fraction(35, 8)), ("bare", 5, True, None, None, None, None, finite)),
+        (kummer, ("fibered", 16, False, True, True, None, (2, 2, 2, 2), torus)),
+        (kummer._replace(config=CONFIG, e_orb=Fraction(35, 8)),
+         ("fibered", 5, True, False, False, None, (2, 2, 2, 2), torus)),
+        # not classified: no verdict, and no check that needs one
+        (kummer._replace(classification=None),
+         ("fibered", 16, False, None, None, None, (2, 2, 2, 2), None)),
+        # bare input past the rank gate: a torus cover exactly when e_orb = 0
+        (Report(AdeConfig((A1,) * 16), Fraction(0)),
+         ("bare", 16, False, None, None, None, None, torus)),
+        (Report(AdeConfig((A1,) * 16), Fraction(1, 2)),
+         ("bare", 16, False, None, None, None, None, None)),
     ]:
         assert tuple(getattr(report, name) for name in derived) == values, report
         for name in derived:
             with pytest.raises(AttributeError):
                 setattr(report, name, None)
+
+
+def test_snf_result_derives_d_from_its_diagonal():
+    # U and V fix the shape: D is len(u) x len(v), the diagonal on its
+    # diagonal and zeros elsewhere
+    wide = SnfResult(((1, 0), (0, 1)), (1, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    tall = SnfResult(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 0), ((1, 0), (0, 1)))
+    for result, d in [(wide, ((1, 0, 0), (0, 2, 0))), (tall, ((3, 0), (0, 0), (0, 0)))]:
+        assert result.d == d
+        with pytest.raises(AttributeError):
+            result.d = d
+    assert SnfResult((), (), ()).d == () and SnfResult(((1,),), (), ()).d == ((),)
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12]]).d == ((2, 0, 0), (0, 6, 0))
 
 
 def test_sweep_result_derives_its_total():
@@ -222,6 +245,29 @@ def test_an_index_must_be_an_integer():
     assert DuValType("A", True) == A1 and type(DuValType("A", True).n) is int
     assert KodairaType("I", True).label == "I1" and type(KodairaType("I", True).n) is int
     assert KodairaType("I*", False).label == "I*0"
+
+
+def test_an_integer_entry_must_be_an_integer():
+    # int() would truncate these floats: 2.7 to 2, 1.9 to 1, 0.7 to 0,
+    # and a factor 1.0 would pass the filter of trivial factors
+    rep = MonodromyRep((T, T_INV))
+    for make in [lambda: IntegerGram([[2.7, 0], [0, 1]]),
+                 lambda: MonodromyRep((((1.9, 0), (0, 1)),)),
+                 lambda: AbelianGroup((2.9,)),
+                 lambda: AbelianGroup((1.0,)),
+                 lambda: coinvariant_quotient(rep, subset=[0.7]),
+                 lambda: smith_normal_form([[2.5, 0], [0, 1]])]:
+        with pytest.raises(TypeError):
+            make()
+    # a bool is an integer, stored as a plain int
+    identity = ((True, False), (False, True))
+    for value in (IntegerGram(identity).rows, MonodromyRep((identity,)).matrices[0]):
+        assert value == ((1, 0), (0, 1)) and {type(x) for row in value for x in row} == {int}
+    diagonal = smith_normal_form(identity).diagonal
+    assert diagonal == (1, 1) and {type(x) for x in diagonal} == {int}
+    group = AbelianGroup((True, 2, False))
+    assert group.invariant_factors == (2, 0) and type(group.invariant_factors[1]) is int
+    assert coinvariant_quotient(rep, subset=[False]) == coinvariant_quotient(rep, subset=[0])
 
 
 def test_equal_fields_give_equal_objects_and_hashes():
