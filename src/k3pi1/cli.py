@@ -45,7 +45,6 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, suppress
-from math import prod
 
 from .dynkin import AdeConfig
 from .kodaira import Decoration, KodairaType, fiber_data
@@ -368,11 +367,11 @@ def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
 
 def _cmd_lattice_k3(args) -> tuple[dict, list[str], int]:
     gram = k3_gram()
-    # every step of the congruence has determinant +-1, so the pivots
-    # multiply to the determinant, or it is 0 when a pivot is missing
-    pivots, _ = _pivots(gram.rows)
-    det = int(prod(pivots)) if len(pivots) == gram.dim else 0
-    pos, neg, null = _inertia(pivots, gram.dim)
+    # every step of the congruence has determinant +-1, so the last
+    # leading minor is the determinant, or it is 0 when a minor is missing
+    minors, _ = _pivots(gram.rows)
+    det = minors[-1] if len(minors) == gram.dim else 0
+    pos, neg, null = _inertia(minors, gram.dim)
     payload = {
         "dim": gram.dim,
         "even": gram.is_even,

@@ -6,9 +6,9 @@ by rational congruence, and bounded search for isotropic vectors (the
 evidence side of Meyer's theorem on indefinite forms of rank >= 5).
 
 No floating point is used anywhere: matrices are Python integers, and
-one congruence diagonaliser over Fraction gives the signature, the
-determinant (the product of its pivots) and the pivots of the search's
-anisotropy test.
+one fraction-free congruence diagonaliser gives integer leading minors,
+which yield the signature, the determinant (the last minor) and the
+pivots of the search's anisotropy test.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 __all__ = [
     "IntegerGram",
@@ -174,16 +173,16 @@ def k3_gram() -> IntegerGram:
     return IntegerGram.from_rows(rows)
 
 
-def _pivots(rows: Matrix) -> tuple[list[Fraction], int]:
-    """Nonzero pivots of an exact congruence diagonalisation over
-    Fraction, and the first step that met a zero diagonal entry, whose
-    basis vector is then isotropic (the dimension if none did).  Until
-    that step no rows are swapped, so the first m pivots diagonalise the
-    leading m x m block; past it, the rank-2 trick covers a zero diagonal.
-    """
+def _pivots(rows: Matrix) -> tuple[list[int], int]:
+    """Nonzero leading minors d_1..d_r of a Bareiss congruence diagonalisation
+    (pivot k is d_k / d_(k-1), d_0 = 1), and the first step that met a zero
+    diagonal entry, whose basis vector is then isotropic (n if none did).
+    Until then no rows are swapped, so the first m pivots diagonalise the
+    leading m x m block; past it, the rank-2 trick covers a zero diagonal."""
     n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[Fraction] = []
+    mat = [list(row) for row in rows]
+    minors: list[int] = []
+    prev = 1
     zero_at = n
     for k in range(n):
         if mat[k][k] == 0:
@@ -204,19 +203,19 @@ def _pivots(rows: Matrix) -> tuple[list[Fraction], int]:
                 for i in range(n):
                     mat[i][k] += mat[i][off]
         pivot = mat[k][k]
-        pivots.append(pivot)
-        # later steps read only the trailing block: update it symmetrically
-        for i in range(k + 1, n):
-            f = mat[i][k] / pivot
-            if f:
-                for j in range(k + 1, n):
-                    mat[i][j] -= f * mat[k][j]
-    return pivots, zero_at
+        minors.append(pivot)
+        # later steps read only the trailing block, prev times its Schur
+        # complement: update it symmetrically (exact by Sylvester's identity)
+        top = mat[k][k + 1 :]
+        for row in mat[k + 1 :]:
+            row[k + 1 :] = [(pivot * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = pivot
+    return minors, zero_at
 
 
-def _inertia(pivots: list[Fraction], n: int) -> tuple[int, int, int]:
-    pos = sum(1 for p in pivots if p > 0)
-    return (pos, len(pivots) - pos, n - len(pivots))
+def _inertia(minors: list[int], n: int) -> tuple[int, int, int]:
+    pos = sum(1 for a, b in zip([1, *minors], minors) if (a > 0) == (b > 0))
+    return (pos, len(minors) - pos, n - len(minors))
 
 
 def signature(g: IntegerGram) -> tuple[int, int, int]:
@@ -257,27 +256,29 @@ def _hilbert(a: int, b: int, p: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _anisotropic(pivots: list[Fraction]) -> bool:
-    """True when the diagonal form with these nonzero pivots has no
+def _anisotropic(minors: list[int]) -> bool:
+    """True when the diagonal form with the pivots of these minors has no
     nonzero rational isotropic vector, by Hasse-Minkowski (Serre, A
     Course in Arithmetic, IV.2.2, IV.3.2): rank 2 iff -det is no square,
     rank 3 and 4 by local conditions at 2 and the primes of the pivots.
     A pivot out of trial-division reach leaves only the definiteness test.
     """
-    n = len(pivots)
-    pos = sum(1 for p in pivots if p > 0)
+    # numerator times denominator of each pivot: its sign and square class
+    classes = [a * b // gcd(a, b) ** 2 for a, b in zip([1, *minors], minors)]
+    n = len(classes)
+    pos = sum(1 for c in classes if c > 0)
     if pos in (0, n):
         return True
     if n == 2:
-        q = -pivots[0] * pivots[1]
-        return isqrt(q.numerator * q.denominator) ** 2 != q.numerator * q.denominator
+        q = -classes[0] * classes[1]
+        return isqrt(q) ** 2 != q
     entries, primes = [], {2}
-    for p in pivots:
-        odd = _odd_power_primes(abs(p.numerator) * p.denominator) if n < 5 else None
+    for c in classes:
+        odd = _odd_power_primes(abs(c)) if n < 5 else None
         if odd is None:  # rank >= 5 is isotropic (Meyer); else out of reach
             return False
         primes.update(odd)
-        entries.append(prod(odd) if p > 0 else -prod(odd))
+        entries.append(prod(odd) if c > 0 else -prod(odd))
     d = prod(entries)
     for p in primes:
         eps = prod(_hilbert(a, b, p) for a, b in combinations(entries, 2))
@@ -349,8 +350,8 @@ def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
     # eliminating from the last coordinate, the first n - k pivots
     # diagonalise the trailing block rows[k:][k:]; all of them give the
     # inertia of the whole form (Sylvester's law)
-    pivots, zero_at = _pivots([row[::-1] for row in rows[::-1]])
-    inertia = _inertia(pivots, n)
+    minors, zero_at = _pivots([row[::-1] for row in rows[::-1]])
+    inertia = _inertia(minors, n)
     if n == 0:
         return MeyerReport(signature=inertia, bound=bound, vector=None)
     b2 = bound * bound
@@ -360,7 +361,7 @@ def meyer_gate(g: IntegerGram, bound: int) -> MeyerReport:
         off_bound[k] = off_bound[k + 1]
         for j in range(k + 1, n):
             off_bound[k] += 2 * abs(rows[k][j]) * b2
-    tail_anisotropic = [n - k <= zero_at and _anisotropic(pivots[: n - k]) for k in range(n)]
+    tail_anisotropic = [n - k <= zero_at and _anisotropic(minors[: n - k]) for k in range(n)]
 
     # cross[i] = sum_{j < level} G[i][j] * x[j]; each level writes x[level]
     # and cross[level + 1:] before a deeper level reads them

@@ -8,6 +8,8 @@ library so the two sides of each check share no code:
 * cofactor-expansion determinants, k x k minor gcds and the plain
   matrix product, used to validate Smith normal forms, and a
   determinant by Fraction elimination for the larger matrices,
+* the congruence diagonalisation over Fraction (pivots and the first
+  zero diagonal step), used to validate the integer leading minors,
 * full-grid isotropic vector search without pruning, and the value
   x.G.x of a form,
 * 2x2 integer matrix powering, and the monodromy representation check
@@ -285,6 +287,45 @@ def det_exact(rows) -> int:
                     mat[i][j] -= f * mat[k][j]
     assert det.denominator == 1
     return int(det)
+
+
+def fraction_pivots(rows) -> tuple[list[Fraction], int]:
+    """Nonzero pivots of a congruence diagonalisation over Fraction, and
+    the first step that met a zero diagonal entry (the dimension if none
+    did).  A zero diagonal entry takes the next nonzero diagonal entry's
+    row and column in its place; with none, a nonzero entry in its row is
+    added in (the rank-2 step), and a zero row is skipped."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[Fraction] = []
+    zero_at = n
+    for k in range(n):
+        if mat[k][k] == 0:
+            zero_at = min(zero_at, k)
+            swap = next((i for i in range(k + 1, n) if mat[i][i]), None)
+            off = next((i for i in range(k + 1, n) if mat[k][i]), None)
+            if swap is not None:
+                mat[k], mat[swap] = mat[swap], mat[k]
+                for row in mat:
+                    row[k], row[swap] = row[swap], row[k]
+            elif off is None:
+                continue
+            else:
+                # both diagonals vanish: adding row/col `off` makes
+                # the pivot 2 * mat[k][off] != 0
+                for j in range(n):
+                    mat[k][j] += mat[off][j]
+                for i in range(n):
+                    mat[i][k] += mat[i][off]
+        pivot = mat[k][k]
+        pivots.append(pivot)
+        # later steps read only the trailing block: update it symmetrically
+        for i in range(k + 1, n):
+            f = mat[i][k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    mat[i][j] -= f * mat[k][j]
+    return pivots, zero_at
 
 
 def minors_gcd(rows, k: int) -> int:

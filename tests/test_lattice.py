@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     det_cofactor,
     det_exact,
     evaluate_form,
+    fraction_pivots,
     mat_mul,
     minors_gcd,
     neg_cartan_gram,
@@ -156,13 +158,14 @@ def test_determinant_matches_cofactor_oracle():
 
 
 def _pivot_det(rows):
-    # the congruence moves have determinant +-1: the pivots multiply to
-    # the determinant, which is 0 when one of the n pivots is missing
-    pivots, _ = _pivots(rows)
-    return prod(pivots) if len(pivots) == len(rows) else 0
+    # the congruence moves have determinant +-1: the last leading minor is
+    # the determinant (1 for the empty form), 0 when one of the n is missing
+    minors, _ = _pivots(rows)
+    return (1, *minors)[-1] if len(minors) == len(rows) else 0
 
 
-def test_pivot_product_is_the_determinant():
+def _pivot_forms():
+    """604 seeded symmetric forms that reach every branch of `_pivots`."""
     rng = random.Random(2718281)
     forms = []
     for t in range(600):
@@ -178,14 +181,38 @@ def test_pivot_product_is_the_determinant():
             rows = [row + [row[0]] for row in rows]
             rows.append(list(rows[0]))
         forms.append(rows)
-    forms += [[], [[0]], [[0, 0], [0, 0]], _diag([0, 3, 0])]
+    return forms + [[], [[0]], [[0, 0], [0, 0]], _diag([0, 3, 0])]
+
+
+def test_pivot_product_is_the_determinant():
     singular = 0
-    for rows in forms:
+    for rows in _pivot_forms():
         det = det_exact(rows)
         assert _pivot_det(rows) == det, rows
         singular += det == 0
     assert singular >= 150, singular
     assert _pivot_det(k3_gram().rows) == -1
+
+
+def test_leading_minors_match_the_fraction_oracle():
+    """Pivot k of the Fraction elimination is d_k / d_(k-1) of the integer
+    leading minors, and both meet their first zero diagonal at one step."""
+    rng = random.Random(16180)
+    forms = _pivot_forms() + [k3_gram().rows]
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() >= 0.3:
+                    rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+        forms.append(rows)
+    for rows in forms:
+        minors, zero_at = _pivots(rows)
+        pivots, oracle_zero_at = fraction_pivots(rows)
+        assert all(type(d) is int for d in minors), rows
+        assert [Fraction(b, a) for a, b in zip([1, *minors], minors)] == pivots, rows
+        assert zero_at == oracle_zero_at, rows
 
 
 def test_signature_of_negated_cartan_blocks():

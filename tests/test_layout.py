@@ -2,9 +2,10 @@
 test oracles stay independent of it, every exported name and every
 function the benchmark traces exists, the package root exports exactly
 what the README example and the benchmark import from it, and starting
-the CLI imports no heavy standard-library module it does not use.
-Every private name one module of the package imports from another is
-listed, so a new coupling is added on purpose."""
+the CLI imports no heavy standard-library module it does not use, and
+the lattice module diagonalises without `fractions`.  Every private
+name one module of the package imports from another is listed, so a
+new coupling is added on purpose."""
 
 import ast
 import importlib
@@ -65,6 +66,13 @@ def test_package_imports_only_stdlib_and_itself():
             assert level > 0 or top == "k3pi1" or top in sys.stdlib_module_names, (
                 path.name, module,
             )
+
+
+def test_lattice_eliminates_without_fractions():
+    # the diagonaliser works on integer leading minors; Fraction stays in
+    # the test oracle
+    modules = {module for _, module in _imported_modules(PACKAGE / "lattice.py")}
+    assert "fractions" not in modules, modules
 
 
 def test_oracles_import_nothing_from_the_package():
