@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 import re
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
+from collections.abc import Iterator, Sequence, Set as AbstractSet
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -188,8 +188,14 @@ _STARS = {
 }
 _CYCLES = {"II": 1, "III": 2, "IV": 3}  # c0.. as a 1-, 2- and 3-cycle
 _TAILS = ("t1", "t2", "t3", "t4")
-_du_val = lru_cache(maxsize=1024)(DuValType)  # pieces recur: build each type once
-_NO_CONFIG = AdeConfig()  # shared by every undecorated fiber
+
+
+@lru_cache(maxsize=1024)  # keys recur: a stream of fibrations has few distinct ones
+def _config(pieces: tuple[tuple[str, int], ...]) -> AdeConfig:
+    """The ADE config of sorted (kind, n) pieces, built once per pieces
+    from one type per distinct piece."""
+    types = {p: DuValType(*p) for p in set(pieces)}
+    return AdeConfig(tuple([types[p] for p in pieces]))
 
 
 @lru_cache(maxsize=None)
@@ -258,21 +264,16 @@ class DecorationOutcome(namedtuple("DecorationOutcome", "fiber m config removed"
     __slots__ = ()
 
 
-def _outcome(t: KodairaType, key: OutcomeKey, removed: Iterable[str]) -> DecorationOutcome:
-    """The outcome record of a removed set of t from its key (m, pieces)."""
-    m, pieces = key
-    config = AdeConfig(tuple([_du_val(*p) for p in pieces])) if pieces else _NO_CONFIG
-    return DecorationOutcome(t, m, config, frozenset(removed))
-
-
 def _runs(indices: list[int]) -> list[list[int]]:
     """The maximal runs [start, length] of consecutive indices, in order."""
     runs: list[list[int]] = []
+    end = -1  # one past the last run
     for i in sorted(indices):
-        if runs and sum(runs[-1]) == i:
+        if i == end:
             runs[-1][1] += 1
         else:
             runs.append([i, 1])
+        end = i + 1
     return runs
 
 
@@ -287,11 +288,13 @@ def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
     a star, the center and the removed runs x <= y <= z next to it on
     its arms form one piece, A when x = 0, D when y = 1, E otherwise.
     """
-    if t.base in _STARS:
-        center, arms, mult = _star(t.base)
+    base = t.base
+    star, istar = base in _STARS, base == "I*"
+    if star:
+        center, arms, mult = _star(base)
         unknown, size = removed.difference(mult), len(mult)
     else:
-        length = t.n + 1 if t.base == "I*" else _CYCLES.get(t.base, t.n)
+        length = t.n + 1 if istar else _CYCLES.get(base, t.n)
         indices, unknown = [], []
         for cid in removed:
             try:  # exactly c{i}: "c01", "c+1" and non-ASCII digits are no id
@@ -300,9 +303,9 @@ def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
                 i = -1
             if 0 <= i < length and cid == f"c{i}":
                 indices.append(i)
-            elif t.base != "I*" or cid not in _TAILS:
+            elif not istar or cid not in _TAILS:
                 unknown.append(cid)
-        size = length + 4 * (t.base == "I*")
+        size = length + 4 * istar
     if unknown:
         raise UnknownComponent(f"{t.label}: unknown component(s) {sorted(unknown)}")
     if len(removed) == size:
@@ -310,31 +313,32 @@ def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
             f"{t.label}: the removed set must be a proper subset of the fiber"
         )
 
-    if t.base in _STARS:
+    if star:
         m = gcd(*[k for cid, k in mult.items() if cid not in removed])
+        hub = center in removed
         pieces, attached = [], []
         for arm in arms:
             runs = _runs([depth for depth, cid in enumerate(arm, 1) if cid in removed])
-            if center in removed:
+            if hub:
                 attached.append(runs.pop(0)[1] if runs and runs[0][0] == 1 else 0)
             pieces += [("A", run) for _, run in runs]
-        if attached:
+        if hub:
             x, y, _ = sorted(attached)
             pieces.append(("A" if x == 0 else "D" if y == 1 else "E", 1 + sum(attached)))
         return m, tuple(sorted(pieces))
 
     runs = _runs(indices)
-    if t.base != "I*":
+    if not istar:
         if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == length:
             runs[0][1] += runs.pop()[1]
-        return 1, tuple(sorted(("A", run) for _, run in runs))
+        return 1, tuple(sorted([("A", run) for _, run in runs]))
     a = ("t1" in removed) + ("t2" in removed)
     b = ("t3" in removed) + ("t4" in removed)
     if runs and runs[0][1] == length:  # the whole chain, with a + b < 4 tails
         return 1, _istar_end(max(a, b), length + min(a, b))
     p = runs.pop(0)[1] if runs and runs[0][0] == 0 else 0
     s = runs.pop()[1] if runs and sum(runs[-1]) == length else 0
-    pieces = _istar_end(a, p) + _istar_end(b, s) + tuple(("A", run) for _, run in runs)
+    pieces = [*_istar_end(a, p), *_istar_end(b, s), *[("A", run) for _, run in runs]]
     return 2 if a == b == 2 else 1, tuple(sorted(pieces))
 
 
@@ -354,14 +358,18 @@ def validate_decoration(d: Decoration) -> DecorationOutcome:
     an affine Dynkin diagram less any vertex is a disjoint union of
     finite ADE diagrams, so every proper removed set is ADE.
     """
-    key = _removed_key(d.fiber, d.removed) if d.removed else (1, ())
-    return _outcome(d.fiber, key, d.removed)
+    t, removed = d
+    m, pieces = _removed_key(t, removed) if removed else (1, ())
+    # a fiber has at most as many components as its Euler number, so on a
+    # K3 at most 24 pieces: longer keys, which the Euler sum rejects, stay uncached
+    config = _config(pieces) if len(pieces) <= K3_EULER_NUMBER else _config.__wrapped__(pieces)
+    return DecorationOutcome(t, m, config, frozenset(removed))
 
 
 def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationOutcome, ...]:
     """Validate decorations and require the fiber Euler numbers to sum to 24."""
-    outcomes = tuple(validate_decoration(d) for d in fibers)
-    total = sum(o.fiber.euler for o in outcomes)
+    outcomes = tuple(map(validate_decoration, fibers))
+    total = sum([o.fiber.euler for o in outcomes])
     if total != K3_EULER_NUMBER:
         raise EulerSumMismatch(total)
     return outcomes
@@ -489,7 +497,8 @@ def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
         keys = _subset_keys(t)
     else:
         keys = _cycle_keys(_CYCLES.get(t.base, t.n))
-    return tuple(_outcome(t, key, ids) for key, ids in sorted(keys.items()))
+    items = sorted(keys.items())
+    return tuple([DecorationOutcome(t, m, _config(p), frozenset(ids)) for (m, p), ids in items])
 
 
 # Counting I_n and I*_n outcomes without their keys.  A removed set of

@@ -18,6 +18,7 @@ Todd-Coxeter coset enumeration (tests/oracles.py) on the presentation
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,7 +51,7 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
     def __new__(cls, cone_orders: tuple[int, ...] = ()) -> "OrbifoldSignature":
         orders = []
         for m in cone_orders:
-            m = int(m)
+            m = int(m) if isinstance(m, str) else operator.index(m)
             if m < 1:
                 raise ValueError(f"cone order must be >= 1, got {m}")
             if m > 1:

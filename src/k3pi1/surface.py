@@ -70,6 +70,7 @@ RANK_GATE_BOUND = 15
 FINITE_FUNDAMENTAL_GROUP = "FiniteFundamentalGroup"
 TORUS_COVER = "TorusCover"
 UNREALIZABLE_HYPERBOLIC = "UnrealizableHyperbolic"
+_THREE_HALVES = Fraction(3, 2)  # e_orb of fifteen A1 points, the least when r <= 15
 
 
 def orbifold_euler_number(c: AdeConfig) -> Fraction:
@@ -81,8 +82,8 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
     Fraction is built at the end.
     """
     parts = [local_euler_contribution(t) for t in c.entries]
-    den = lcm(*(p.denominator for p in parts))
-    lost = sum(p.numerator * (den // p.denominator) for p in parts)
+    den = lcm(*[p.denominator for p in parts])
+    lost = sum([p.numerator * (den // p.denominator) for p in parts])
     return Fraction(K3_EULER_NUMBER * den - lost, den)
 
 
@@ -250,9 +251,9 @@ def analyze(input_: NormalK3Input) -> Report:
         config = input_.singularities
     else:
         fibers = validate_k3_fibration(input_.fibers)
-        config = AdeConfig(p for f in fibers for p in f.config.entries)
+        config = AdeConfig([p for f in fibers for p in f.config.entries])
     e_orb = orbifold_euler_number(config)
-    if config.rank <= RANK_GATE_BOUND and e_orb < Fraction(3, 2):
+    if config.rank <= RANK_GATE_BOUND and e_orb < _THREE_HALVES:
         raise AssertionError(
             f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
         )

@@ -21,6 +21,9 @@ library so the two sides of each check share no code:
   them within a rank budget,
 * bare `analyze` (rank, orbifold Euler number from a delta table of
   its own, rank gate and verdict),
+* fibered `analyze`: the Kodaira fibers drawn from their classical
+  pictures, the removed ADE types read off positive definite Cartan
+  matrices, the kept gcds, e_orb and the base orbifold's class,
 * the generating function counting sweep classes, and a count per
   kind by a table over (Euler number, cone multiset),
 * the orbifold kind and group order of a cone-order signature by the
@@ -761,3 +764,132 @@ def bare_analysis(types) -> tuple[int, Fraction, bool, str | None]:
     passes = r <= 15
     verdict = "FiniteFundamentalGroup" if passes else "TorusCover" if e_orb == 0 else None
     return r, e_orb, passes, verdict
+
+
+# ----------------------------------------------------------------------
+# fibered input
+
+
+# the star fibers as paths meeting once, in the package's naming: the
+# components along each path with their multiplicities
+_STAR_PATHS = {
+    "IV*": [["a1", "a2", "z"], ["b1", "b2", "z"], ["d1", "d2", "z"]],
+    "III*": [[f"c{i}" for i in range(1, 8)], ["b1", "c4"]],
+    "II*": [[f"c{i}" for i in range(1, 9)], ["b1", "c6"]],
+}
+_STAR_MULTIPLICITY = {
+    "IV*": {"z": 3, "a2": 2, "b2": 2, "d2": 2, "a1": 1, "b1": 1, "d1": 1},
+    "III*": dict(zip([f"c{i}" for i in range(1, 8)] + ["b1"], [1, 2, 3, 4, 3, 2, 1, 2])),
+    "II*": dict(zip([f"c{i}" for i in range(1, 9)] + ["b1"], [1, 2, 3, 4, 5, 6, 4, 2, 3])),
+}
+_STAR_EULER = {"IV*": 8, "III*": 9, "II*": 10}
+
+
+def kodaira_fiber(base: str, n: int | None = None) -> tuple[dict, list, int]:
+    """(multiplicity of each component id, dual graph, Euler number) of a
+    Kodaira fiber, drawn from its classical picture.  The dual graph lists
+    one (id, id) pair per intersection point, so two components meeting
+    twice (I_2) or tangentially (III) appear twice, and the nodal I_1 has
+    a loop.  IV's three lines through one point are drawn as a triangle."""
+    if base in _STAR_PATHS:
+        edges = [(u, v) for path in _STAR_PATHS[base] for u, v in zip(path, path[1:])]
+        return dict(_STAR_MULTIPLICITY[base]), edges, _STAR_EULER[base]
+    if base == "I*":
+        chain = [f"c{i}" for i in range(n + 1)]
+        mult = {"t1": 1, "t2": 1, "t3": 1, "t4": 1, **{c: 2 for c in chain}}
+        edges = [("t1", "c0"), ("t2", "c0"), ("t3", chain[-1]), ("t4", chain[-1])]
+        return mult, edges + list(zip(chain, chain[1:])), n + 6
+    size, euler = {"II": (1, 2), "III": (2, 3), "IV": (3, 4)}.get(base, (n, n))
+    ids = [f"c{i}" for i in range(size)]
+    if base == "II":
+        edges = []  # a cuspidal curve
+    elif base == "III":
+        edges = [("c0", "c1")] * 2
+    else:  # the cycle of I_n, the loop of I_1, the triangle of IV
+        edges = [(ids[i], ids[(i + 1) % size]) for i in range(size)]
+    return dict.fromkeys(ids, 1), edges, euler
+
+
+def ade_components(nodes, edges) -> list[tuple[str, int]] | None:
+    """The Du Val types (kind, n) of a graph, sorted, or None when some
+    connected component is no ADE diagram.  A connected graph is ADE
+    exactly when its Cartan matrix 2I - A is positive definite (all
+    pivots of `fraction_pivots` positive); its type is then read from its
+    size n and determinant: A_n n + 1, D_n 4, E_n 9 - n."""
+    nodes = sorted(nodes)
+    seen, types = set(), []
+    for start in nodes:
+        if start in seen:
+            continue
+        component, frontier = [start], [start]
+        seen.add(start)
+        while frontier:
+            u = frontier.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y not in seen:
+                        seen.add(y)
+                        component.append(y)
+                        frontier.append(y)
+        index = {v: i for i, v in enumerate(component)}
+        size = len(component)
+        cartan = [[2 * (i == j) for j in range(size)] for i in range(size)]
+        for a, b in edges:
+            if a in index and b in index:
+                cartan[index[a]][index[b]] -= 1  # a loop counts twice
+                cartan[index[b]][index[a]] -= 1
+        pivots, _ = fraction_pivots(cartan)
+        if len(pivots) < size or min(pivots) <= 0:
+            return None
+        det = 1
+        for p in pivots:
+            det *= p
+        types.append(("A" if det == size + 1 else "D" if det == 4 else "E", size))
+    return sorted(types)
+
+
+VERDICT_OF_KIND = {
+    "spherical_or_bad": "FiniteFundamentalGroup",
+    "euclidean": "TorusCover",
+    "hyperbolic": "UnrealizableHyperbolic",
+}
+
+
+def fibered_analysis(fibers) -> dict:
+    """`analyze` of a decorated fibration, given as (base, n, removed ids)
+    triples.
+
+    Each fiber's removed ids must all be its components ("UnknownComponent")
+    and must not be all of them ("FullSupportRemoved"), checked fiber by
+    fiber; then the Euler numbers must sum to 24 ("EulerSumMismatch", with
+    the sum).  Such input gives {"error": class name, "actual": sum or
+    None}.  Otherwise: each fiber's m, the gcd of its kept multiplicities;
+    the removed components' ADE types as labels; e_orb = 24 - sum(n + 1 -
+    1/delta) from `du_val_delta`; the cone orders m > 1; and the class and
+    verdict of `orbifold_class`.
+    """
+    ms, types, total = [], [], 0
+    for base, n, removed in fibers:
+        mult, edges, euler = kodaira_fiber(base, n)
+        removed = set(removed)
+        total += euler
+        if removed - set(mult):
+            return {"error": "UnknownComponent", "actual": None}
+        if removed == set(mult):
+            return {"error": "FullSupportRemoved", "actual": None}
+        ms.append(gcd(*[k for cid, k in mult.items() if cid not in removed]))
+        induced = [(u, v) for u, v in edges if u in removed and v in removed]
+        pieces = ade_components(removed, induced)
+        assert pieces is not None, (base, n, removed)  # a proper subset is ADE
+        types += pieces
+    if total != 24:
+        return {"error": "EulerSumMismatch", "actual": total}
+    kind, order = orbifold_class(ms)
+    return {
+        "m": ms,
+        "labels": [f"{kind}{rank}" for kind, rank in sorted(types)],
+        "e_orb": 24 - sum(r + 1 - Fraction(1, du_val_delta(k, r)) for k, r in types),
+        "cone_orders": sorted(m for m in ms if m > 1),
+        "classification": (kind, order),
+        "verdict": VERDICT_OF_KIND[kind],
+    }

@@ -3,14 +3,21 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
+from random import Random
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from k3pi1 import kodaira, surface
-from k3pi1.dynkin import AdeConfig, DuValType
-from k3pi1.kodaira import Decoration, KodairaType, decoration_outcomes, fiber_data
+from k3pi1.dynkin import AdeConfig, DuValType, local_euler_contribution
+from k3pi1.kodaira import (
+    Decoration,
+    KodairaType,
+    decoration_outcomes,
+    fiber_data,
+    validate_decoration,
+)
 from k3pi1.orbifold import classify
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
 from k3pi1.surface import (
@@ -27,7 +34,9 @@ from oracles import (
     ade_types,
     bare_analysis,
     cone_signatures_by_cost,
+    fibered_analysis,
     gf_total,
+    kodaira_fiber,
     sweep_counts_by_kind,
 )
 
@@ -189,6 +198,101 @@ def test_bare_analyze_matches_the_oracle():
 
     check()
     assert seen == {(False, 1), (True, 1), (True, 0), (True, -1)}
+
+
+_BOGUS_IDS = ["c01", "c-1", "C0", "t5", "z", "b1", "c30", ""]
+_TYPES = [("II", None), ("III", None), ("IV", None), ("IV*", None), ("III*", None), ("II*", None)]
+_TYPES += [("I", n) for n in range(1, 15)] + [("I*", n) for n in range(9)]
+
+
+def _drawn_decoration(rng, mult, coned):
+    """Removed ids: all but some components whose multiplicities one d
+    divides, so that m >= d (with `coned`, d is the largest multiplicity),
+    none, or some proper subset; now and then all of them, or with an id
+    that may not be the fiber's."""
+    ids = sorted(mult)
+    r = rng.random()
+    if r < 0.015:
+        return ids
+    if coned or r < 0.4:
+        d = max(mult.values()) if coned else rng.choice(sorted(set(mult.values())))
+        kept = [c for c in ids if mult[c] % d == 0]
+        kept = rng.sample(kept, rng.randint(1, len(kept)))
+        removed = [c for c in ids if c not in kept]
+    elif r < 0.7:
+        removed = []
+    else:
+        removed = rng.sample(ids, rng.randrange(len(ids)))
+    if rng.random() < 0.015:
+        removed.append(rng.choice(_BOGUS_IDS))
+    return removed
+
+
+def _family(base):
+    return base if base in ("I", "I*") else "II"
+
+
+def _drawn_fibration(rng, total, coned=False):
+    """Decorated fibers whose Euler numbers sum to `total`: I_n, I*_n and
+    II ... II* about equally often while they fit."""
+    fibers = []
+    while total:
+        fits = [(b, n) for b, n in _TYPES if kodaira_fiber(b, n)[2] <= total]
+        family = rng.choice(("I", "I*", "II"))  # "II": II ... II*
+        base, n = rng.choice([t for t in fits if _family(t[0]) == family] or fits)
+        mult, _, euler = kodaira_fiber(base, n)
+        fibers.append((base, n, _drawn_decoration(rng, mult, coned)))
+        total -= euler
+    return fibers
+
+
+def _fibered_result(fibers):
+    """What `analyze` gives on (base, n, removed ids) triples, in the
+    oracle's terms."""
+    decorations = [Decoration(KodairaType(base, n), removed) for base, n, removed in fibers]
+    try:
+        report = analyze(NormalK3Input.fibered(decorations))
+    except ValueError as exc:
+        return {"error": type(exc).__name__, "actual": getattr(exc, "actual", None)}
+    cls = report.classification
+    return {
+        "m": [f.m for f in report.fibers],
+        "labels": list(report.config.labels),
+        "e_orb": report.e_orb,
+        "cone_orders": list(report.cone_orders),
+        "classification": (cls.kind, cls.order),
+        "verdict": report.verdict.kind,
+    }
+
+
+def test_fibered_analyze_matches_the_oracle():
+    # seeded fibrations, near misses of the Euler sum, full supports and
+    # ids that are not the fiber's, checked end to end against a pipeline
+    # that shares no code with the package
+    cases = [
+        [(d.fiber.base, d.fiber.n, sorted(d.removed)) for d in fibers]
+        for fibers in (KUMMER, FIXTURE_632, FIXTURE_532, FIXTURE_442)
+    ]
+    cases.append([("IV*", None, ["a1", "a2", "b1", "b2", "d1", "d2"])] * 3)  # (3, 3, 3)
+    cases.append([("I", 1, ["c0"])] + [("I", 1, [])] * 23)
+    rng = Random(20_261_020)
+    for i in range(300):
+        total = 24 if i % 6 else rng.choice((22, 23, 25, 26))
+        cases.append(_drawn_fibration(rng, total, coned=i % 3 == 1))
+    seen, signatures, euclidean = set(), set(), set()
+    for fibers in cases:
+        expected = fibered_analysis(fibers)
+        assert _fibered_result(fibers) == expected, fibers
+        seen.add(expected.get("error") or expected["verdict"])
+        if "verdict" in expected:
+            signatures.add((expected["verdict"], len(expected["cone_orders"])))
+        if expected.get("verdict") == TORUS_COVER:
+            euclidean.add(tuple(expected["cone_orders"]))
+    assert seen == {FINITE_FUNDAMENTAL_GROUP, TORUS_COVER, "UnknownComponent",
+                    "FullSupportRemoved", "EulerSumMismatch"}
+    # finite groups: trivial, cyclic and von Dyck
+    assert {(FINITE_FUNDAMENTAL_GROUP, k) for k in range(4)} <= signatures
+    assert euclidean == {(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)}
 
 
 def test_analyze_attaches_quotient_on_trivial_orbifold():
@@ -456,6 +560,32 @@ def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 33
     # the cone multisets whose cheapest realization fits the budget
     assert set(seen) == set(cone_signatures_by_cost(_min_euler_per_cone_order(24), 24))
+
+
+def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
+    # perfbench wraps these module globals to count and time each layer
+    # (`--trace 1`), so a rewrite that stops calling one through its
+    # global would leave a traced run without its counts
+    trichotomy_sweep(24)
+    contributions, validated = [], []
+
+    def contribution(t):
+        contributions.append(t)
+        return local_euler_contribution(t)
+
+    def validate(d):
+        validated.append(d)
+        return validate_decoration(d)
+
+    monkeypatch.setattr(surface, "local_euler_contribution", contribution)
+    monkeypatch.setattr(kodaira, "validate_decoration", validate)
+    trichotomy_sweep(24)
+    assert contributions
+    del contributions[:]
+    report = analyze(NormalK3Input.fibered(FIXTURE_532))
+    assert validated == FIXTURE_532  # once per fiber, in order
+    assert contributions == list(report.config.entries)  # once per entry
+    assert kodaira._config.cache_info().maxsize == 1024
 
 
 def test_trichotomy_sweep_totals_match_generating_function():

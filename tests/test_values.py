@@ -256,7 +256,11 @@ def test_an_integer_entry_must_be_an_integer():
                  lambda: AbelianGroup((2.9,)),
                  lambda: AbelianGroup((1.0,)),
                  lambda: coinvariant_quotient(rep, subset=[0.7]),
-                 lambda: smith_normal_form([[2.5, 0], [0, 1]])]:
+                 lambda: smith_normal_form([[2.5, 0], [0, 1]]),
+                 # 2.9 would be read as 2, and (2.9, 3.5, 6.1) as the euclidean (2, 3, 6)
+                 lambda: OrbifoldSignature((2.9, 3.5, 6.1)),
+                 lambda: OrbifoldSignature((2.0,)),
+                 lambda: OrbifoldSignature((Fraction(5, 2), 3))]:
         with pytest.raises(TypeError):
             make()
     # a bool is an integer, stored as a plain int
@@ -268,6 +272,7 @@ def test_an_integer_entry_must_be_an_integer():
     group = AbelianGroup((True, 2, False))
     assert group.invariant_factors == (2, 0) and type(group.invariant_factors[1]) is int
     assert coinvariant_quotient(rep, subset=[False]) == coinvariant_quotient(rep, subset=[0])
+    assert OrbifoldSignature((True, 2)).cone_orders == (2,)
 
 
 def test_equal_fields_give_equal_objects_and_hashes():
