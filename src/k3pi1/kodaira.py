@@ -90,8 +90,8 @@ class FullSupportRemoved(DecorationError):
     pass
 
 
-def _int_text(x: int) -> str:
-    """str(x), or its bit length where str() passes Python's int-to-str limit."""
+def _int_text(x: object) -> str:
+    """str(x), or for an integer past Python's int-to-str limit its bit length."""
     try:
         return str(x)
     except ValueError:
@@ -130,9 +130,7 @@ class KodairaType(namedtuple("KodairaType", "base n")):
 
     @property
     def label(self) -> str:
-        if self.n is None:
-            return self.base
-        return f"{self.base}{self.n}"
+        return self.base if self.n is None else f"{self.base}{_int_text(self.n)}"
 
     @property
     def euler(self) -> int:
@@ -173,10 +171,6 @@ class FiberData(namedtuple("FiberData", "components dual_graph")):
 
     __slots__ = ()
 
-    @property
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.components)
-
 
 # IV*, III*, II*: paths of components meeting once, in fiber order,
 # through a center of multiplicity k; along each of the three arms the
@@ -201,14 +195,14 @@ def _config(pieces: tuple[tuple[str, int], ...]) -> AdeConfig:
 @lru_cache(maxsize=None)
 def _star(base: str) -> tuple[str, list[list[str]], dict[str, int]]:
     """A star fiber's center, its arms as ids outward from the center,
-    and the multiplicity of each id."""
+    and the multiplicity of each id, in fiber order."""
     center, k, paths = _STARS[base]
     arms = []
     for path in paths:
         ids = path.split()
         at = ids.index(center)
         arms += [arm for arm in (ids[:at][::-1], ids[at + 1 :]) if arm]
-    mult = {center: k}
+    mult = dict.fromkeys([cid for path in paths for cid in path.split()], k)
     for arm in arms:
         for depth, cid in enumerate(arm):
             mult[cid] = k * (len(arm) - depth) // (len(arm) + 1)
@@ -238,9 +232,8 @@ def fiber_data(t: KodairaType) -> FiberData:
         edges += [(f"c{i}", f"c{i + 1}", 1) for i in range(n)]
         edges += [("t3", f"c{n}", 1), ("t4", f"c{n}", 1)]
     else:
-        mult = _star(t.base)[2]
+        comps = list(_star(t.base)[2].items())
         paths = [path.split() for path in _STARS[t.base][2]]
-        comps = [(cid, mult[cid]) for cid in dict.fromkeys(c for path in paths for c in path)]
         edges = [(u, v, 1) for path in paths for u, v in zip(path, path[1:])]
     return FiberData(tuple(comps), tuple(edges))
 
@@ -277,6 +270,12 @@ def _runs(indices: list[int]) -> list[list[int]]:
     return runs
 
 
+def _id_key(cid: object) -> tuple[str, str]:
+    """Sorts ids of any type: strings first, by value, then any other id
+    by its type name and text."""
+    return ("", cid) if isinstance(cid, str) else (type(cid).__name__, _int_text(cid))
+
+
 def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
     """The outcome key (m, pieces) of a removed set, read from its ids
     by the fiber's shape without building the fiber's table.
@@ -307,7 +306,9 @@ def _removed_key(t: KodairaType, removed: AbstractSet[str]) -> OutcomeKey:
                 unknown.append(cid)
         size = length + 4 * istar
     if unknown:
-        raise UnknownComponent(f"{t.label}: unknown component(s) {sorted(unknown)}")
+        keys = sorted(map(_id_key, unknown))
+        names = ", ".join([text if kind else repr(text) for kind, text in keys])
+        raise UnknownComponent(f"{t.label}: unknown component(s) [{names}]")
     if len(removed) == size:
         raise FullSupportRemoved(
             f"{t.label}: the removed set must be a proper subset of the fiber"
@@ -381,7 +382,7 @@ def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationOutco
 
 def _subset_keys(t: KodairaType) -> dict[OutcomeKey, list[str]]:
     """Outcome keys of a star fiber, by brute force over its proper subsets."""
-    ids = fiber_data(t).component_ids
+    ids = list(_star(t.base)[2])
     keys: dict[OutcomeKey, list[str]] = {}
     for mask in range(2 ** len(ids) - 1):
         removed = [cid for k, cid in enumerate(ids) if mask >> k & 1]
@@ -572,20 +573,22 @@ def _arc_counts(size: int) -> tuple[list[int], list[int], list[int]]:
 def _outcome_counts(t: KodairaType) -> Counter[int]:
     """m -> number of nontrivial outcomes of a fiber type.
 
-    I_n and I*_n are read from the cumulative counts of `_arc_counts`,
-    built once for every n below the next power of two (at least 32),
-    without building any key; `_cycle_keys` and `_istar_keys` are their
-    test oracle.  II ... II* count their small outcome tables.
+    Every cycle (I_n, and II, III, IV as the 1-, 2- and 3-cycle) and
+    I*_n are read from the cumulative counts of `_arc_counts`, built once
+    for every n below the next power of two (at least 32), without
+    building any key; `_cycle_keys` and `_istar_keys` are their test
+    oracle.  Only the stars IV*, III*, II* count their outcome tables.
     """
-    if t.base in ("I", "I*"):
-        arcs, one, two = _arc_counts(1 << max(5, t.n.bit_length()))
-        if t.base == "I":
-            return +Counter({1: arcs[t.n] - 1})  # less the empty multiset
+    if t.base not in _STARS:
+        n = _CYCLES.get(t.base, t.n)
+        arcs, one, two = _arc_counts(1 << max(5, n.bit_length()))
+        if t.base != "I*":
+            return +Counter({1: arcs[n] - 1})  # less the empty multiset
         # the whole chain with a and b tails (not both 2) is one piece, new
         # unless a shorter layout gives it: a lone A_k costs k - 1 (1 for
         # A3 between two tails), a lone D_k k - 2
         tails = [(a, b) for a in range(3) for b in range(3) if (a, b) != (2, 2)]
-        whole = {_istar_end(max(a, b), t.n + 1 + min(a, b)) for a, b in tails}
+        whole = {_istar_end(max(a, b), n + 1 + min(a, b)) for a, b in tails}
         costs = [k - 1 - (k == 3) if kind == "A" else k - 2 for ((kind, k),) in whole]
-        return +Counter({1: one[t.n] + sum(cost > t.n for cost in costs), 2: two[t.n]})
+        return +Counter({1: one[n] + sum(cost > n for cost in costs), 2: two[n]})
     return Counter(o.m for o in decoration_outcomes(t) if o.config.entries)

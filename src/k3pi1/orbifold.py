@@ -50,8 +50,7 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
 
     def __new__(cls, cone_orders: tuple[int, ...] = ()) -> "OrbifoldSignature":
         orders = []
-        for m in cone_orders:
-            m = int(m) if isinstance(m, str) else operator.index(m)
+        for m in map(operator.index, cone_orders):
             if m < 1:
                 raise ValueError(f"cone order must be >= 1, got {m}")
             if m > 1:

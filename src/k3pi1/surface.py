@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import comb, lcm
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
@@ -374,8 +374,8 @@ def trichotomy_sweep(
 
     @cache
     def group_items(group: tuple[int, int]) -> list:
-        """The outcomes of a group, each with its position in the sweep's
-        outcome order, read from the tables of the types that have any."""
+        """The (position, outcome) pairs of a group, each outcome with its position
+        in the sweep's outcome order, read from the tables of the types that have any."""
         e, m = group
         return [
             ((t.euler, t.label, index), o)
@@ -385,7 +385,7 @@ def trichotomy_sweep(
             if o.m == m
         ]
 
-    expanded = []  # (positions, cone part, cones, kind, budget left)
+    expanded = []  # (sorted ((position, outcome), count) pairs, cones, kind, budget left)
     groups = sorted(sizes)
     # weight and sorted cone orders of the part walked to, by depth: the
     # walk is in pre-order, so a part's prefix is the last part one shorter
@@ -403,15 +403,11 @@ def trichotomy_sweep(
         counts[kind] += weights[depth] * completions_within[left]
         if kind == SPHERICAL_OR_BAD:
             continue
-        picks = []  # per group, every choice of c of its outcomes
-        for g, c in part:
-            items = group_items(g)
-            ones = [1] * len(items)
-            picks.append([list(p) for p, rest in _multisets(items, ones, c) if not rest])
+        # per group, every choice of c of its outcomes; the sort below fixes the order
+        picks = [combinations_with_replacement(group_items(g), c) for g, c in part]
         for choice in product(*picks):
-            chosen = sorted(pair for pairs in choice for pair in pairs)
-            positions = [(pos, n) for (pos, _), n in chosen]
-            expanded.append((positions, [(o, n) for (_, o), n in chosen], cones, kind, left))
+            chosen = sorted(Counter([pair for pick in choice for pair in pick]).items())
+            expanded.append((chosen, cones, kind, left))
     expanded.sort(key=lambda x: x[0])
 
     euclidean: list[SweepInstance] = []
@@ -426,7 +422,8 @@ def trichotomy_sweep(
         if o.m == 1 and o.config.entries
     ]
     flat_eulers = [o.fiber.euler for o in flat_items]
-    for _, cone_part, cones, kind, left in expanded:
+    for pairs, cones, kind, left in expanded:
+        cone_part = [(o, n) for (_, o), n in pairs]
         for flat_part, _ in _multisets(flat_items, flat_eulers, left):
             chosen = cone_part + flat_part
             config = AdeConfig(tuple(p for o, n in chosen for p in o.config.entries * n))

@@ -23,7 +23,9 @@ library so the two sides of each check share no code:
   its own, rank gate and verdict),
 * fibered `analyze`: the Kodaira fibers drawn from their classical
   pictures, the removed ADE types read off positive definite Cartan
-  matrices, the kept gcds, e_orb and the base orbifold's class,
+  matrices, the kept gcds, e_orb and the base orbifold's class, and for
+  a monodromy representation the three-pass check and the quotient of
+  Z^2 from the minor gcds of its relation matrix,
 * the generating function counting sweep classes, and a count per
   kind by a table over (Euler number, cone multiset),
 * the orbifold kind and group order of a cone-order signature by the
@@ -855,36 +857,76 @@ VERDICT_OF_KIND = {
 }
 
 
-def fibered_analysis(fibers) -> dict:
+def coinvariant_factors(matrices) -> tuple[int, ...]:
+    """The invariant factors (1s dropped, 0 for a free factor) of Z^2
+    modulo the columns of I - T over the matrices T: d1 is the gcd of the
+    entries of the 2 x 2k relation matrix and d1 d2 that of its 2 x 2
+    minors."""
+    rows = [[], []]
+    for (p, q), (r, s) in matrices:
+        rows[0] += [1 - p, -q]
+        rows[1] += [-r, 1 - s]
+    d1, d12 = minors_gcd(rows, 1), minors_gcd(rows, 2)
+    factors = (d1, d12 // d1) if d12 else (d1, 0) if d1 else (0, 0)
+    return tuple(d for d in factors if d != 1)
+
+
+def _rejected(kind: str, message: str, actual=None) -> dict:
+    return {"error": kind, "actual": actual, "message": message}
+
+
+def fibered_analysis(fibers, monodromy=None) -> dict:
     """`analyze` of a decorated fibration, given as (base, n, removed ids)
-    triples.
+    triples, with an optional monodromy representation given as
+    (matrices, declared (base, n) pairs or None).
 
     Each fiber's removed ids must all be its components ("UnknownComponent")
     and must not be all of them ("FullSupportRemoved"), checked fiber by
     fiber; then the Euler numbers must sum to 24 ("EulerSumMismatch", with
-    the sum).  Such input gives {"error": class name, "actual": sum or
-    None}.  Otherwise: each fiber's m, the gcd of its kept multiplicities;
-    the removed components' ADE types as labels; e_orb = 24 - sum(n + 1 -
-    1/delta) from `du_val_delta`; the cone orders m > 1; and the class and
-    verdict of `orbifold_class`.
+    the sum).  A representation must have one matrix per fiber (a
+    "ValueError") and pass `three_pass_validate`.  Such input gives
+    {"error": class name, "actual": sum or None, "message": its text}.
+    Otherwise: each fiber's m, the gcd of its kept multiplicities; the
+    removed components' ADE types as labels; e_orb = 24 - sum(n + 1 -
+    1/delta) from `du_val_delta`; the cone orders m > 1; the class and
+    verdict of `orbifold_class`; and the `coinvariant_factors` of the
+    representation when the class is ("spherical_or_bad", 1), else None.
     """
     ms, types, total = [], [], 0
     for base, n, removed in fibers:
         mult, edges, euler = kodaira_fiber(base, n)
+        label = base if n is None else f"{base}{n}"
         removed = set(removed)
         total += euler
         if removed - set(mult):
-            return {"error": "UnknownComponent", "actual": None}
+            return _rejected(
+                "UnknownComponent", f"{label}: unknown component(s) {sorted(removed - set(mult))}"
+            )
         if removed == set(mult):
-            return {"error": "FullSupportRemoved", "actual": None}
+            message = f"{label}: the removed set must be a proper subset of the fiber"
+            return _rejected("FullSupportRemoved", message)
         ms.append(gcd(*[k for cid, k in mult.items() if cid not in removed]))
         induced = [(u, v) for u, v in edges if u in removed and v in removed]
         pieces = ade_components(removed, induced)
         assert pieces is not None, (base, n, removed)  # a proper subset is ADE
         types += pieces
     if total != 24:
-        return {"error": "EulerSumMismatch", "actual": total}
+        message = f"fiber Euler numbers sum to {total}, a K3 surface needs 24"
+        return _rejected("EulerSumMismatch", message, total)
     kind, order = orbifold_class(ms)
+    quotient = None
+    if monodromy is not None:
+        matrices, declared = monodromy
+        if len(matrices) != len(fibers):
+            return _rejected(
+                "ValueError", f"monodromy has {len(matrices)} matrices for {len(fibers)} fibers"
+            )
+        try:
+            three_pass_validate(matrices, declared)
+        except RepresentationRejected as exc:
+            return _rejected(exc.kind, str(exc))
+        if (kind, order) == ("spherical_or_bad", 1):
+            quotient = list(coinvariant_factors(matrices))
     return {
         "m": ms,
         "labels": [f"{kind}{rank}" for kind, rank in sorted(types)],
@@ -892,4 +934,5 @@ def fibered_analysis(fibers) -> dict:
         "cone_orders": sorted(m for m in ms if m > 1),
         "classification": (kind, order),
         "verdict": VERDICT_OF_KIND[kind],
+        "quotient": quotient,
     }

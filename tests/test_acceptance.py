@@ -130,7 +130,7 @@ def test_criterion_3_trichotomy_sweep():
 
 def _keep_only(label, *kept):
     t = KodairaType.parse(label)
-    removed = frozenset(fiber_data(t).component_ids) - set(kept)
+    removed = frozenset(cid for cid, _ in fiber_data(t).components) - set(kept)
     return Decoration(t, removed)
 
 

@@ -43,7 +43,7 @@ def _graph_decoration(d):
     if not d.removed:
         return DecorationOutcome(d.fiber, 1, AdeConfig(), d.removed)
     data = fiber_data(d.fiber)
-    ids = set(data.component_ids)
+    ids = {cid for cid, _ in data.components}
     unknown = d.removed - ids
     if unknown:
         raise UnknownComponent(f"{d.fiber.label}: unknown component(s) {sorted(unknown)}")
@@ -79,7 +79,7 @@ def _outcome(check, d):
 def _graph_keys(t):
     """Every outcome key of a fiber type, by the graph search over every
     proper subset of its components."""
-    ids = fiber_data(t).component_ids
+    ids = [cid for cid, _ in fiber_data(t).components]
     keys = set()
     for mask in range(2 ** len(ids) - 1):
         o = _graph_decoration(Decoration(t, [c for k, c in enumerate(ids) if mask >> k & 1]))
@@ -197,7 +197,7 @@ def test_multiplicity_vector_annihilates_intersection_matrix():
         if t.label in ("I1", "II"):
             continue
         data = fiber_data(t)
-        ids = list(data.component_ids)
+        ids = [cid for cid, _ in data.components]
         idx = {c: i for i, c in enumerate(ids)}
         n = len(ids)
         mat = [[0] * n for _ in range(n)]
@@ -219,7 +219,7 @@ def test_validate_decoration_istar0_tails():
 
 def test_validate_decoration_iistar_keep_c6():
     data = fiber_data(I("II*"))
-    removed = set(data.component_ids) - {"c6"}
+    removed = {cid for cid, _ in data.components} - {"c6"}
     s = validate_decoration(Decoration(I("II*"), removed))
     assert s.m == 6
     assert s.config == AdeConfig.from_labels(["A5", "A2", "A1"])
@@ -232,6 +232,26 @@ def test_validate_decoration_errors():
         validate_decoration(Decoration(I("IV"), {"c0", "c1", "c2"}))
     with pytest.raises(ValueError):
         validate_decoration(Decoration(I("I*0"), {"bogus"}))
+
+
+def test_unknown_ids_of_any_type_or_index_are_named_in_a_fixed_order():
+    # ids that do not compare with each other: strings first, by value,
+    # then the rest by type name and text; an integer id or index past
+    # Python's int-to-str limit by its bit length
+    for label in ("I3", "IV*", "I*0"):
+        with pytest.raises(UnknownComponent) as exc:
+            validate_decoration(Decoration(I(label), {0, "x", None, "a", 2**20000}))
+        assert str(exc.value) == (
+            f"{label}: unknown component(s) ['a', 'x', None, 0, <20001-bit integer>]"
+        )
+    with pytest.raises(UnknownComponent) as exc:
+        validate_decoration(Decoration(KodairaType("I", 10**5000), {"x"}))
+    assert str(exc.value) == "I<16610-bit integer>: unknown component(s) ['x']"
+    # strings alone keep the order and text of the sorted list
+    strings = {"z'", 'a"', "b", "C", "c\u0663"}
+    with pytest.raises(UnknownComponent) as exc:
+        validate_decoration(Decoration(I("III*"), strings))
+    assert str(exc.value) == f"III*: unknown component(s) {sorted(strings)}"
 
 
 def test_iv_any_two_removed_gives_a2():
@@ -298,7 +318,7 @@ def test_all_proper_removed_sets_classify(per_type_limit=10):
     # every proper nonempty subset of a fiber with <= 10 components is ADE
     for t in _small_types():
         data = fiber_data(t)
-        ids = data.component_ids
+        ids = [cid for cid, _ in data.components]
         if len(ids) > per_type_limit:
             continue
         for mask in range(1, 2 ** len(ids) - 1):
@@ -345,7 +365,7 @@ def test_decoration_outcomes_match_brute_force_istar():
 
 def test_validate_decoration_matches_the_graph_search_on_every_subset():
     for t in _small_types(10):
-        ids = fiber_data(t).component_ids
+        ids = [cid for cid, _ in fiber_data(t).components]
         if len(ids) > 10:
             continue
         for mask in range(2 ** len(ids)):
@@ -359,7 +379,7 @@ def _fiber_automorphisms(t):
     c0.. of I_n, II, III and IV; t1<->t2, t3<->t4 and the end reversal of
     I*_n; S3 on the arms of IV*; the swap of the long arms of III*."""
     if t.base in ("I", "II", "III", "IV"):
-        n = len(fiber_data(t).component_ids)
+        n = len(fiber_data(t).components)
         return [
             {f"c{i}": f"c{(sign * i + shift) % n}" for i in range(n)}
             for shift in range(n)
@@ -390,7 +410,7 @@ def test_validate_decoration_is_invariant_under_fiber_automorphisms():
     rng = random.Random(8)
     for t in _small_types(11):
         data = fiber_data(t)
-        ids, maps = data.component_ids, _fiber_automorphisms(t)
+        ids, maps = [cid for cid, _ in data.components], _fiber_automorphisms(t)
         graph = {(frozenset((u, v)), w) for u, v, w in data.dual_graph}
         for f in maps:
             assert sorted((f.get(c, c), m) for c, m in data.components) == sorted(data.components)
@@ -410,7 +430,7 @@ _NEAR_MISSES = ["c01", "c-1", "c\u0663", "C1", "t0", "t5", "c+1", "c 1", "c1_0",
 def _removed_sets(draw):
     base = draw(st.sampled_from(["I", "I*"]))
     t = KodairaType(base, draw(st.integers(1, 60) if base == "I" else st.integers(0, 40)))
-    ids = list(fiber_data(t).component_ids)
+    ids = [cid for cid, _ in fiber_data(t).components]
     pool = ids + _NEAR_MISSES + [f"c{t.n}", f"c{len(ids)}"]
     if draw(st.booleans()):  # long runs, and the whole fiber less a few
         start, size = draw(st.integers(0, len(ids) - 1)), draw(st.integers(1, len(ids)))
@@ -431,10 +451,11 @@ def test_validate_decoration_matches_the_graph_search_on_drawn_sets(d):
 def test_outcome_counts_match_the_outcome_keys():
     # the sweep's counts come from one arc table, never from keys; the
     # structural keys (checked against brute force above) are the oracle
-    # for every I_n and I*_n of Euler number <= 30, read past the cache
+    # for every cycle (I_n, II, III, IV) and I*_n of Euler number <= 30,
+    # read past the cache
     from k3pi1.kodaira import _outcome_counts
 
-    types = [KodairaType("I", n) for n in range(1, 31)]
+    types = [I("II"), I("III"), I("IV")] + [KodairaType("I", n) for n in range(1, 31)]
     types += [KodairaType("I*", n) for n in range(0, 25)]
     for t in types:
         outcomes = decoration_outcomes.__wrapped__(t)

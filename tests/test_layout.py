@@ -151,7 +151,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 2633, lines
+    assert lines <= 2632, lines
 
 
 # (importer, source module, private name) for every private name that

@@ -23,9 +23,9 @@ from k3pi1.pi1 import (
 
 from oracles import (
     RepresentationRejected,
+    coinvariant_factors,
     mat2_mul,
     mat2_power_order,
-    minors_gcd,
     monodromy_class,
     three_pass_validate,
 )
@@ -249,12 +249,7 @@ def _random_rep(rng, k):
 
 def _minor_gcd_quotient(mats):
     """Z^2 modulo the columns of I - T from the minor gcds of the 2 x 2k matrix."""
-    rows = [[], []]
-    for (p, q), (r, s) in mats:
-        rows[0] += [1 - p, -q]
-        rows[1] += [-r, 1 - s]
-    d1, d12 = minors_gcd(rows, 1), minors_gcd(rows, 2)
-    return AbelianGroup((d1, d12 // d1) if d12 else (d1, 0) if d1 else (0, 0))
+    return AbelianGroup(coinvariant_factors(mats))
 
 
 def test_quotient_matches_smith_form_and_minor_gcds():

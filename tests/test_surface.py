@@ -1,8 +1,10 @@
 """Tests for the end-to-end pipeline."""
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,9 +36,12 @@ from oracles import (
     ade_types,
     bare_analysis,
     cone_signatures_by_cost,
+    fiber_monodromy,
     fibered_analysis,
     gf_total,
     kodaira_fiber,
+    mat2_mul,
+    monodromy_class,
     sweep_counts_by_kind,
 )
 
@@ -45,7 +50,7 @@ K = KodairaType.parse
 
 def _keep_only(label, *kept):
     t = K(label)
-    removed = frozenset(fiber_data(t).component_ids) - set(kept)
+    removed = frozenset(cid for cid, _ in fiber_data(t).components) - set(kept)
     return Decoration(t, removed)
 
 
@@ -246,15 +251,21 @@ def _drawn_fibration(rng, total, coned=False):
     return fibers
 
 
-def _fibered_result(fibers):
-    """What `analyze` gives on (base, n, removed ids) triples, in the
+def _fibered_result(fibers, monodromy=None):
+    """What `analyze` gives on (base, n, removed ids) triples, with an
+    optional (matrices, declared (base, n) pairs or None), in the
     oracle's terms."""
     decorations = [Decoration(KodairaType(base, n), removed) for base, n, removed in fibers]
+    rep = None
+    if monodromy is not None:
+        mats, declared = monodromy
+        rep = MonodromyRep(mats, [None if d is None else KodairaType(*d) for d in declared])
     try:
-        report = analyze(NormalK3Input.fibered(decorations))
+        report = analyze(NormalK3Input.fibered(decorations, rep))
     except ValueError as exc:
-        return {"error": type(exc).__name__, "actual": getattr(exc, "actual", None)}
-    cls = report.classification
+        return {"error": type(exc).__name__, "actual": getattr(exc, "actual", None),
+                "message": str(exc)}
+    cls, quotient = report.classification, report.monodromy_quotient
     return {
         "m": [f.m for f in report.fibers],
         "labels": list(report.config.labels),
@@ -262,6 +273,7 @@ def _fibered_result(fibers):
         "cone_orders": list(report.cone_orders),
         "classification": (cls.kind, cls.order),
         "verdict": report.verdict.kind,
+        "quotient": None if quotient is None else list(quotient.invariant_factors),
     }
 
 
@@ -293,6 +305,105 @@ def test_fibered_analyze_matches_the_oracle():
     # finite groups: trivial, cyclic and von Dyck
     assert {(FINITE_FUNDAMENTAL_GROUP, k) for k in range(4)} <= signatures
     assert euclidean == {(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)}
+
+
+A = ((1, 1), (0, 1))  # the canonical monodromy of I1
+B = ((1, 0), (-1, 1))  # a conjugate of A, with (AB)^6 = I
+# fiber types of Euler number 12 whose canonical matrices multiply to the
+# identity (II* II, III* III and IV* IV are inverse pairs; (-I)^2 = I),
+# and I1 x 12 with A and B alternating
+_BLOCKS_12 = [[("II*", None), ("II", None)], [("III*", None), ("III", None)],
+              [("IV*", None), ("IV", None)], [("I*", 0)] * 2, [("I", 1)] * 12]
+
+
+def _identity_product_fibration(rng):
+    """(fibers, (matrices, declared)) of Euler number 24 whose matrices
+    multiply to the identity: II* IV* I*0 turned, or two blocks of 12,
+    each in either order.  Half the fibers are decorated, half of those
+    coned, and each declares its own type or nothing."""
+    if rng.random() < 0.2:
+        turn = rng.randrange(3)
+        types = ([("II*", None), ("IV*", None), ("I*", 0)] * 2)[turn : turn + 3]
+        mats = [fiber_monodromy(*t) for t in types]
+    else:
+        types, mats = [], []
+        for block in rng.choices(_BLOCKS_12, k=2):
+            step = rng.choice((1, -1))
+            types += block[::step]
+            mats += ([A, B] * 6)[::step] if len(block) == 12 else [
+                fiber_monodromy(*t) for t in block[::step]
+            ]
+    fibers = []
+    for base, n in types:
+        decorated, coned = rng.random() < 0.5, rng.random() < 0.5
+        mult = kodaira_fiber(base, n)[0]
+        fibers.append((base, n, _drawn_decoration(rng, mult, coned) if decorated else []))
+    declared = [rng.choice((None, (base, n))) for base, n in types]
+    return fibers, (mats, declared)
+
+
+def _corrupted(rng, monodromy, how):
+    """A copy of (matrices, declared) with one matrix of determinant 2, a
+    product that is no longer the identity, a declared type of another
+    class, or one matrix too few."""
+    mats, declared = list(monodromy[0]), list(monodromy[1])
+    j = rng.randrange(len(mats))
+    (a, b), (c, d) = mats[j]
+    if how == "det":
+        mats[j] = ((2 * a, 2 * b), (c, d))
+    elif how == "product":
+        mats[j] = mat2_mul(mats[j], A)
+    elif how == "declared":
+        declared[j] = rng.choice([
+            t for t in _TYPES if monodromy_class(fiber_monodromy(*t)) != monodromy_class(mats[j])
+        ])
+    else:
+        del mats[j], declared[j]
+    return mats, declared
+
+
+def test_monodromy_analyze_matches_the_oracle():
+    # the fixtures, seeded fibrations whose canonical matrices multiply to
+    # the identity, corrupted copies of them, and drawn fibrations with
+    # their canonical matrices (whose product is seldom the identity),
+    # checked end to end on the report and on each error's class and text
+    rows = json.loads((Path(__file__).parent / "fixtures" / "rep_four_istar0.json").read_text())
+    four_istar0 = ([tuple(map(tuple, e["matrix"])) for e in rows],
+                   [tuple(K(e["declared"])) for e in rows])
+    # 0 to 4 of the four I*0 coned: one cone point or none gives (Z/2)^2
+    tails = ["t1", "t2", "t3", "t4"]
+    cases = [
+        ([("I*", 0, tails if k < coned else []) for k in range(4)], four_istar0)
+        for coned in range(5)
+    ]
+    for fibers in (KUMMER, FIXTURE_632, FIXTURE_532, FIXTURE_442):
+        types = [(d.fiber.base, d.fiber.n) for d in fibers]
+        mats = [fiber_monodromy(*t) for t in types]
+        cases.append(([(*t, sorted(d.removed)) for t, d in zip(types, fibers)], (mats, types)))
+    rng = Random(20_261_021)
+    for i in range(200):
+        fibers, monodromy = _identity_product_fibration(rng)
+        how = ("none", "det", "product", "declared", "length")[i % 5]
+        cases.append((fibers, monodromy if how == "none" else _corrupted(rng, monodromy, how)))
+    for _ in range(40):
+        fibers = _drawn_fibration(rng, 24)
+        mats = [fiber_monodromy(base, n) for base, n, _ in fibers]
+        cases.append((fibers, (mats, [None] * len(fibers))))
+    seen, classes, quotients = set(), set(), set()
+    for fibers, monodromy in cases:
+        expected = fibered_analysis(fibers, monodromy)
+        assert _fibered_result(fibers, monodromy) == expected, (fibers, monodromy)
+        seen.add(expected.get("error") or expected["verdict"])
+        if "classification" in expected:
+            classes.add(expected["classification"])
+        if expected.get("quotient") is not None:
+            quotients.add(tuple(expected["quotient"]))
+    assert seen >= {FINITE_FUNDAMENTAL_GROUP, TORUS_COVER, "DetNotOne", "ProductNotIdentity",
+                    "ClassMismatch", "ValueError"}
+    # a quotient only on the trivial base class, and none on the others
+    assert classes >= {("spherical_or_bad", 1), ("spherical_or_bad", 2), ("spherical_or_bad", 4),
+                       ("euclidean", None)}, classes
+    assert quotients >= {(), (2,), (3,), (2, 2)}, quotients
 
 
 def test_analyze_attaches_quotient_on_trivial_orbifold():
@@ -432,11 +543,12 @@ def test_trichotomy_sweep_collect_limit_keeps_the_first_instances():
 
 
 def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
-    # the sweep reads I_n and I*_n outcome counts from one arc table and
-    # builds outcome tables only for the fiber types of the classes it
-    # expands (I*0 at budget 24) and for II ... II*, of which only the
-    # stars IV*, III*, II* build a component table; every cache is
-    # cleared first, so nothing comes from an earlier test
+    # the sweep reads the outcome counts of every cycle (I_n, II, III,
+    # IV) and of I*_n from one arc table, and builds outcome tables only
+    # for the stars IV*, III*, II*, which it counts by brute force, and for
+    # the fiber types of the classes it expands (I*0 at budget 24); no
+    # fiber builds a component table.  Every cache is cleared first, so
+    # nothing comes from an earlier test
     caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts)
     for cached in caches:
         cached.cache_clear()
@@ -454,17 +566,15 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     for name in ("_cycle_keys", "_istar_keys"):
         monkeypatch.setattr(kodaira, name, recorded(name))
     res = trichotomy_sweep(24)
-    assert expanded == [
-        ("_cycle_keys", 1), ("_cycle_keys", 2), ("_cycle_keys", 3), ("_istar_keys", 0)
-    ]
+    assert expanded == [("_istar_keys", 0)]
     assert kodaira._arc_counts.cache_info().currsize == 1
-    assert decoration_outcomes.cache_info().currsize == 7
-    assert fiber_data.cache_info().currsize == 3
+    assert decoration_outcomes.cache_info().currsize == 4
+    assert fiber_data.cache_info().currsize == 0
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
     trichotomy_sweep(30, collect_limit=0)
-    assert fiber_data.cache_info().currsize == 3
+    assert fiber_data.cache_info().currsize == 0
 
 
 def _min_euler_per_cone_order(budget):

@@ -221,7 +221,8 @@ def test_normalisation():
 
     assert OrbifoldSignature((6, 1, 2, 1, 3)).cone_orders == (2, 3, 6)
     assert OrbifoldSignature((1, 1)) == OrbifoldSignature()
-    assert OrbifoldSignature(["3", 2]).cone_orders == (2, 3)
+    with pytest.raises(TypeError):  # orders are integers, never text
+        OrbifoldSignature(["3", 2])
 
     assert AbelianGroup((1, 2, 1, 4, 0)).invariant_factors == (2, 4, 0)
     assert AbelianGroup((1,)) == AbelianGroup()
@@ -260,7 +261,11 @@ def test_an_integer_entry_must_be_an_integer():
                  # 2.9 would be read as 2, and (2.9, 3.5, 6.1) as the euclidean (2, 3, 6)
                  lambda: OrbifoldSignature((2.9, 3.5, 6.1)),
                  lambda: OrbifoldSignature((2.0,)),
-                 lambda: OrbifoldSignature((Fraction(5, 2), 3))]:
+                 lambda: OrbifoldSignature((Fraction(5, 2), 3)),
+                 # int() would read "1_0" as 10 and "\u0663" as 3
+                 lambda: OrbifoldSignature(("3",)),
+                 lambda: OrbifoldSignature(("1_0",)),
+                 lambda: OrbifoldSignature(("\u0663", " 2 "))]:
         with pytest.raises(TypeError):
             make()
     # a bool is an integer, stored as a plain int
