@@ -38,6 +38,14 @@ _LABEL_RE = re.compile(r"([ADE])([1-9][0-9]*)")
 _E_DELTA = {6: 24, 7: 48, 8: 120}
 
 
+def _int_text(x: object) -> str:
+    """str(x), or for an integer past Python's int-to-str limit its bit length."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit integer>"
+
+
 class NotAdeError(ValueError):
     """A graph (or graph component) is not a disjoint union of ADE diagrams."""
 
@@ -60,7 +68,7 @@ class DuValType(namedtuple("DuValType", "kind n")):
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid Du Val type {kind}{n}")
+            raise ValueError(f"invalid Du Val type {kind}{_int_text(n)}")
         return tuple.__new__(cls, (kind, n))
 
     @property

@@ -41,7 +41,7 @@ from math import gcd
 
 # recognize_ade is not used here, but perfbench/worker.py traces it as
 # kodaira.recognize_ade, so the name stays importable from this module
-from .dynkin import AdeConfig, DuValType, _multisets, recognize_ade  # noqa: F401
+from .dynkin import AdeConfig, DuValType, _int_text, _multisets, recognize_ade  # noqa: F401
 
 __all__ = [
     "KodairaType",
@@ -90,14 +90,6 @@ class FullSupportRemoved(DecorationError):
     pass
 
 
-def _int_text(x: object) -> str:
-    """str(x), or for an integer past Python's int-to-str limit its bit length."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit integer>"
-
-
 class EulerSumMismatch(DecorationError):
     def __init__(self, actual: int):
         super().__init__(
@@ -117,10 +109,10 @@ class KodairaType(namedtuple("KodairaType", "base n")):
             n = operator.index(n)
         if base == "I":
             if n is None or n < 1:
-                raise ValueError(f"type I needs n >= 1, got {n}")
+                raise ValueError(f"type I needs n >= 1, got {_int_text(n)}")
         elif base == "I*":
             if n is None or n < 0:
-                raise ValueError(f"type I* needs n >= 0, got {n}")
+                raise ValueError(f"type I* needs n >= 0, got {_int_text(n)}")
         elif base in _PLAIN:
             if n is not None:
                 raise ValueError(f"type {base} takes no index")

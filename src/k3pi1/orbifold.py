@@ -23,6 +23,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
+from .dynkin import _int_text
+
 __all__ = [
     "OrbifoldSignature",
     "OrbifoldClass",
@@ -52,7 +54,7 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "cone_orders")):
         orders = []
         for m in map(operator.index, cone_orders):
             if m < 1:
-                raise ValueError(f"cone order must be >= 1, got {m}")
+                raise ValueError(f"cone order must be >= 1, got {_int_text(m)}")
             if m > 1:
                 orders.append(m)
         return tuple.__new__(cls, (tuple(sorted(orders)),))

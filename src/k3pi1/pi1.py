@@ -17,7 +17,8 @@ from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
 
-from .kodaira import KodairaType, Mat2, _int_text
+from .dynkin import _int_text
+from .kodaira import KodairaType, Mat2
 # smith_normal_form is not used here, but perfbench/worker.py traces it as
 # pi1.smith_normal_form, so the name stays importable from this module
 from .lattice import smith_normal_form  # noqa: F401

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, product
 from math import comb, lcm
+from operator import mul
 
 from .dynkin import AdeConfig, _multisets, local_euler_contribution
 from .kodaira import (
@@ -320,6 +321,20 @@ def _sweep_types(euler_sum: int) -> tuple[KodairaType, ...]:
     return tuple(sorted(types, key=lambda t: (t.euler, t.label)))
 
 
+def _multiset_counts(n: list[int]) -> list[int]:
+    """ways[b]: multisets of total Euler number b from n[e] items of Euler number
+    e, the coefficients of prod_e (1 - x^e)^(-n[e]); by their logarithmic
+    derivative b ways[b] = sum_k s[k] ways[b - k], s[k] = sum_{e | k} e n[e]."""
+    s = [0] * len(n)
+    for e in range(1, len(n)):
+        for k in range(e, len(n), e):
+            s[k] += e * n[e]
+    ways = [1]
+    for b in range(1, len(n)):
+        ways.append(sum(map(mul, s[1 : b + 1], reversed(ways))) // b)  # s[k] ways[b - k]
+    return ways
+
+
 def trichotomy_sweep(
     euler_sum: int = K3_EULER_NUMBER, collect_limit: int | None = None
 ) -> SweepResult:
@@ -327,15 +342,18 @@ def trichotomy_sweep(
 
     A class is a multiset of nontrivial decoration outcomes (m, removed
     configuration) with total Euler number at most `euler_sum`; fibers
-    with nothing removed only fill the budget.  Only the cone orders
-    m >= 2 decide a class, so the sweep counts from the outcome counts
-    per fiber type (`kodaira._outcome_counts`), in integers.  The m = 1
-    outcomes are counted per total Euler number by the logarithmic
-    derivative of prod_e (1 - x^e)^(-flat[e]).  The m >= 2 outcomes fall
-    into groups by (Euler number, m), and the walk goes over group
-    multisets in pre-order: each extends its prefix's running weight by
-    C(k + c - 1, c) for c picks from a group of k, and its sorted cone
-    orders by c copies of m.  Each cone multiset is classified once.
+    with nothing removed only fill the budget.  The sweep counts from the
+    outcome counts per fiber type (`kodaira._outcome_counts`), in
+    integers: multisets by total Euler number come from the logarithmic
+    derivative of prod_e (1 - x^e)^(-k[e]), k[e] outcomes of Euler number
+    e, over all outcomes for the total and over the m = 1 outcomes for
+    the completions of a cone part.  The m >= 2 outcomes fall into groups
+    by (Euler number, m).  Only three cone points or more can make a
+    euclidean or hyperbolic base, so the walk goes over the group
+    multisets that can still reach three cones, each with its weight (the
+    product of C(k + c - 1, c) for c picks from a group of k) and sorted
+    cone orders, and classifies those with three cones, each cone
+    multiset once; spherical_or_bad is the rest of the total.
     Euclidean and hyperbolic group multisets (4 at budget 24, 242 at 30)
     are expanded from the outcome tables into full instances, checked
     against r >= 16, orbifold Euler number zero and the rank gate;
@@ -349,24 +367,17 @@ def trichotomy_sweep(
     """
     types = _sweep_types(euler_sum)
     flat = [0] * (euler_sum + 1)  # flat[e]: m = 1 outcomes of Euler number e
+    every = [0] * (euler_sum + 1)  # every[e]: nontrivial outcomes of Euler number e
     sizes: dict[tuple[int, int], int] = {}  # (Euler number, m >= 2) -> outcomes
     for t in types:
+        e = t.euler
         for m, count in _outcome_counts(t).items():
+            every[e] += count
             if m == 1:
-                flat[t.euler] += count
+                flat[e] += count
             else:
-                sizes[t.euler, m] = sizes.get((t.euler, m), 0) + count
-
-    # ways[b]: multisets of m = 1 outcomes of total Euler number b, the
-    # coefficients of prod_e (1 - x^e)^(-flat[e]); by its logarithmic
-    # derivative b ways[b] = sum_k s[k] ways[b - k], s[k] = sum_{e | k} e flat[e]
-    s = [sum(e * flat[e] for e in range(1, k + 1) if k % e == 0) for k in range(euler_sum + 1)]
-    ways = [1]
-    for b in range(1, euler_sum + 1):
-        ways.append(sum(s[k] * ways[b - k] for k in range(1, b + 1)) // b)
-    completions_within = list(accumulate(ways))
-
-    counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
+                sizes[e, m] = sizes.get((e, m), 0) + count
+    completions_within = list(accumulate(_multiset_counts(flat)))
 
     @cache
     def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
@@ -385,29 +396,34 @@ def trichotomy_sweep(
             if o.m == m
         ]
 
+    counts = {SPHERICAL_OR_BAD: 0, EUCLIDEAN: 0, HYPERBOLIC: 0}
     expanded = []  # (sorted ((position, outcome), count) pairs, cones, kind, budget left)
     groups = sorted(sizes)
-    # weight and sorted cone orders of the part walked to, by depth: the
-    # walk is in pre-order, so a part's prefix is the last part one shorter
-    weights, cone_parts = [1] * (len(groups) + 1), [()] * (len(groups) + 1)
-    for part, left in _multisets(groups, [e for e, _ in groups], euler_sum):
-        depth = len(part)
-        if depth:
-            (e, m), c = part[-1]
-            prefix = cone_parts[depth - 1]
-            at = bisect_right(prefix, m)
-            weights[depth] = weights[depth - 1] * comb(sizes[e, m] + c - 1, c)
-            cone_parts[depth] = prefix[:at] + (m,) * c + prefix[at:]
-        cones = cone_parts[depth]
-        kind = classify_cones(cones).kind
-        counts[kind] += weights[depth] * completions_within[left]
-        if kind == SPHERICAL_OR_BAD:
-            continue
-        # per group, every choice of c of its outcomes; the sort below fixes the order
-        picks = [combinations_with_replacement(group_items(g), c) for g, c in part]
-        for choice in product(*picks):
-            chosen = sorted(Counter([pair for pick in choice for pair in pick]).items())
-            expanded.append((chosen, cones, kind, left))
+
+    def walk(start: int, left: int, weight: int, cones: tuple[int, ...], part: tuple) -> None:
+        """Classify a group multiset `part` of three cones or more, then extend it."""
+        if len(cones) >= 3:
+            kind = classify_cones(cones).kind
+            if kind != SPHERICAL_OR_BAD:
+                counts[kind] += weight * completions_within[left]
+                # per group, every choice of c of its outcomes; the sort below fixes the order
+                picks = [combinations_with_replacement(group_items(g), c) for g, c in part]
+                for choice in product(*picks):
+                    chosen = sorted(Counter([pair for pick in choice for pair in pick]).items())
+                    expanded.append((chosen, cones, kind, left))
+        for i in range(start, len(groups)):
+            e, m = group = groups[i]
+            # later groups cost at least e, so past this no extension reaches three cones
+            if e > left or len(cones) + left // e < 3:
+                break
+            at = bisect_right(cones, m)
+            for c in range(1, left // e + 1):
+                walk(i + 1, left - c * e, weight * comb(sizes[group] + c - 1, c),
+                     cones[:at] + (m,) * c + cones[at:], part + ((group, c),))
+
+    walk(0, euler_sum, 1, (), ())
+    # every class with at most two cones, and every other spherical one, is the rest
+    counts[SPHERICAL_OR_BAD] = sum(_multiset_counts(every)) - sum(counts.values())
     expanded.sort(key=lambda x: x[0])
 
     euclidean: list[SweepInstance] = []

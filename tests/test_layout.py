@@ -151,7 +151,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 2632, lines
+    assert lines <= 2651, lines
 
 
 # (importer, source module, private name) for every private name that
@@ -160,8 +160,10 @@ PRIVATE_IMPORTS = {
     ("cli", "lattice", "_inertia"),
     ("cli", "lattice", "_pivots"),
     ("cli", "surface", "_frac_str"),
+    ("kodaira", "dynkin", "_int_text"),
     ("kodaira", "dynkin", "_multisets"),
-    ("pi1", "kodaira", "_int_text"),
+    ("orbifold", "dynkin", "_int_text"),
+    ("pi1", "dynkin", "_int_text"),
     ("surface", "dynkin", "_multisets"),
     ("surface", "kodaira", "_outcome_counts"),
 }

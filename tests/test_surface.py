@@ -652,9 +652,10 @@ def _outcome_eulers(budget):
 
 
 def test_trichotomy_sweep_counts_match_the_per_kind_oracle():
-    # the oracle adds the outcomes one at a time, from the public tables
-    for budget in (24, 25, 26):
-        assert _sweep(budget).counts == sweep_counts_by_kind(_outcome_items(budget), budget)
+    # the oracle adds the outcomes one at a time, from the public tables;
+    # below 18 no three cones fit, so the walk classifies nothing
+    for budget in range(27):
+        assert _sweep(budget).counts == sweep_counts_by_kind(_outcome_items(budget), budget), budget
 
 
 def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
@@ -667,9 +668,12 @@ def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
 
     monkeypatch.setattr(surface, "classify", counted)
     trichotomy_sweep(24)
-    assert len(seen) == len(set(seen)) == 33
-    # the cone multisets whose cheapest realization fits the budget
-    assert set(seen) == set(cone_signatures_by_cost(_min_euler_per_cone_order(24), 24))
+    # only three cone points or more can make a base euclidean or
+    # hyperbolic, so the sweep classifies exactly the cone multisets of
+    # three cones or more whose cheapest realization fits the budget
+    realizable = cone_signatures_by_cost(_min_euler_per_cone_order(24), 24)
+    assert len(seen) == len(set(seen)) == 12
+    assert set(seen) == {cones for cones in realizable if len(cones) >= 3}
 
 
 def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
@@ -677,7 +681,7 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     # (`--trace 1`), so a rewrite that stops calling one through its
     # global would leave a traced run without its counts
     trichotomy_sweep(24)
-    contributions, validated = [], []
+    contributions, validated, classes = [], [], []
 
     def contribution(t):
         contributions.append(t)
@@ -687,10 +691,15 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
         validated.append(d)
         return validate_decoration(d)
 
+    def classified(signature):
+        classes.append(signature)
+        return classify(signature)
+
     monkeypatch.setattr(surface, "local_euler_contribution", contribution)
     monkeypatch.setattr(kodaira, "validate_decoration", validate)
+    monkeypatch.setattr(surface, "classify", classified)
     trichotomy_sweep(24)
-    assert contributions
+    assert contributions and classes
     del contributions[:]
     report = analyze(NormalK3Input.fibered(FIXTURE_532))
     assert validated == FIXTURE_532  # once per fiber, in order

@@ -183,9 +183,15 @@ def test_sweep_result_derives_its_total():
     (lambda: DuValType("A", 0), "invalid Du Val type A0"),
     (lambda: DuValType("E", 9), "invalid Du Val type E9"),
     (lambda: DuValType("B", 2), "invalid Du Val type B2"),
+    # a value past the int-to-str limit is named by its bit length
+    (lambda: DuValType("A", -10**5000), "invalid Du Val type A<negative 16610-bit integer>"),
+    (lambda: DuValType("E", 10**5000), "invalid Du Val type E<16610-bit integer>"),
     (lambda: KodairaType("I", 0), "type I needs n >= 1, got 0"),
     (lambda: KodairaType("I"), "type I needs n >= 1, got None"),
     (lambda: KodairaType("I*", -1), "type I* needs n >= 0, got -1"),
+    (lambda: KodairaType("I", -10**5000), "type I needs n >= 1, got <negative 16610-bit integer>"),
+    (lambda: KodairaType("I*", -10**5000),
+     "type I* needs n >= 0, got <negative 16610-bit integer>"),
     (lambda: KodairaType("IV", 2), "type IV takes no index"),
     (lambda: KodairaType("V"), "invalid Kodaira base 'V'"),
     (lambda: AbelianGroup((2, 3)), "broken divisibility chain (2, 3)"),
@@ -198,6 +204,8 @@ def test_sweep_result_derives_its_total():
     (lambda: IntegerGram(((1, 2),)), "Gram matrix must be square"),
     (lambda: IntegerGram(((0, 1), (2, 0))), "Gram matrix not symmetric at (1, 0)"),
     (lambda: OrbifoldSignature((2, 0)), "cone order must be >= 1, got 0"),
+    (lambda: OrbifoldSignature((-10**5000,)),
+     "cone order must be >= 1, got <negative 16610-bit integer>"),
     (lambda: MonodromyRep((T,), (None, None)), "declared labels do not match the matrix count"),
     (lambda: MonodromyRep(([1, 1, 0],)), "expected a 2x2 matrix"),
 ])
