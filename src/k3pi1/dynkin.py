@@ -43,6 +43,8 @@ def _int_text(x: object) -> str:
     try:
         return str(x)
     except ValueError:
+        if not isinstance(x, int):  # a container of such integers, say
+            raise
         return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit integer>"
 
 
@@ -68,7 +70,7 @@ class DuValType(namedtuple("DuValType", "kind n")):
         else:
             ok = False
         if not ok:
-            raise ValueError(f"invalid Du Val type {kind}{_int_text(n)}")
+            raise ValueError(f"invalid Du Val type {_int_text(kind)}{_int_text(n)}")
         return tuple.__new__(cls, (kind, n))
 
     @property

@@ -365,6 +365,8 @@ def trichotomy_sweep(
     sum(n + 1 - 1/delta), the K3 value only at 24, so above 24 every
     hyperbolic class and every euclidean class with e_orb != 0 is a violation.
     """
+    if euler_sum < 0:  # no multiset, not even the empty one, fits
+        raise ValueError("euler_sum must be >= 0")
     types = _sweep_types(euler_sum)
     flat = [0] * (euler_sum + 1)  # flat[e]: m = 1 outcomes of Euler number e
     every = [0] * (euler_sum + 1)  # every[e]: nontrivial outcomes of Euler number e

@@ -20,6 +20,7 @@ from k3pi1.kodaira import (
     KodairaType,
     UnknownComponent,
     _config,
+    _validated,
     decoration_outcomes,
     fiber_data,
     validate_decoration,
@@ -312,6 +313,53 @@ def test_config_cache_keeps_no_config_of_more_pieces_than_a_k3_fiber_has():
     assert _config.cache_info().currsize == 1
     assert validate_decoration(long).config.labels == ("A1",) * 25
     assert _config.cache_info().currsize == 1
+
+
+def test_fibration_outcomes_are_cached_per_decoration_and_errors_are_not():
+    # each valid decoration is validated once; an invalid fibration
+    # raises the same error at the same fiber on every call
+    _validated.cache_clear()
+    kummer = [Decoration(I("I*0"), {"t1", "t2", "t3", "t4"})] * 4
+    outcomes = validate_k3_fibration(kummer)
+    assert validate_k3_fibration(kummer) == outcomes
+    assert _validated.cache_info()[:2] == (7, 1)  # hits, misses
+    unknown = Decoration(I("I*0"), {"t1", "zz"})
+    full = Decoration(I("I*0"), {"t1", "t2", "t3", "t4", "c0"})
+    for fibers, error, message in [
+        ([*kummer[:3], unknown, full], UnknownComponent, "I*0: unknown component(s) ['zz']"),
+        ([*kummer[:3], full, unknown], FullSupportRemoved,
+         "I*0: the removed set must be a proper subset of the fiber"),
+        (kummer[:3], EulerSumMismatch, "fiber Euler numbers sum to 18, a K3 surface needs 24"),
+    ]:
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                validate_k3_fibration(fibers)
+            assert type(exc.value) is error and str(exc.value) == message
+    assert exc.value.actual == 18
+    assert _validated.cache_info().currsize == 1
+    # a removed set that is a plain set, not a frozenset, still validates
+    plain = kummer[0]._replace(removed={"t1", "t2", "t3", "t4"})
+    assert type(plain.removed) is set
+    assert validate_k3_fibration([plain] * 4) == outcomes
+    # a tuple in place of the fiber type equals the cached KodairaType, yet
+    # is rejected as without the cache
+    with pytest.raises(AttributeError):
+        validate_k3_fibration([Decoration(("I*", 0), plain.removed)] * 4)
+
+
+def test_outcome_cache_keeps_no_decoration_of_more_ids_than_a_k3_fiber_has():
+    # as for _config: only input that the Euler sum rejects removes more
+    # than 24 ids, and 1,024 such outcomes of I_20000 would hold gigabytes
+    _validated.cache_clear()
+    t = KodairaType("I", 20000)
+    ids = [f"c{i}" for i in range(t.n)]
+    for start in range(1024):
+        with pytest.raises(EulerSumMismatch):
+            validate_k3_fibration([Decoration(t, ids[start : start + 25])])
+    assert _validated.cache_info().currsize == 0
+    with pytest.raises(EulerSumMismatch):
+        validate_k3_fibration([Decoration(t, ids[:24])])
+    assert _validated.cache_info().currsize == 1
 
 
 def test_all_proper_removed_sets_classify(per_type_limit=10):

@@ -440,6 +440,16 @@ def test_input_validation():
         )
 
 
+def test_trichotomy_sweep_rejects_a_negative_budget():
+    # no multiset, not even the empty one, fits a budget below 0
+    for budget in (-1, -3):
+        with pytest.raises(ValueError, match="^euler_sum must be >= 0$"):
+            trichotomy_sweep(budget)
+    res = trichotomy_sweep(0)
+    assert res.counts == {"spherical_or_bad": 1, "euclidean": 0, "hyperbolic": 0}
+    assert (res.euclidean, res.hyperbolic, res.violations) == ([], [], [])
+
+
 def test_trichotomy_sweep_small_budgets_match_direct_enumeration():
     # frozen counts from an independent single-recursion enumeration of
     # all nontrivial-outcome multisets (see _sweep_direct below)
@@ -549,7 +559,8 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     # the fiber types of the classes it expands (I*0 at budget 24); no
     # fiber builds a component table.  Every cache is cleared first, so
     # nothing comes from an earlier test
-    caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts)
+    caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts,
+              kodaira._validated)
     for cached in caches:
         cached.cache_clear()
     expanded = []
@@ -570,6 +581,7 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     assert kodaira._arc_counts.cache_info().currsize == 1
     assert decoration_outcomes.cache_info().currsize == 4
     assert fiber_data.cache_info().currsize == 0
+    assert kodaira._validated.cache_info().currsize == 0  # it serves fibrations only
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
@@ -701,10 +713,14 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     trichotomy_sweep(24)
     assert contributions and classes
     del contributions[:]
+    kodaira._validated.cache_clear()
     report = analyze(NormalK3Input.fibered(FIXTURE_532))
     assert validated == FIXTURE_532  # once per fiber, in order
     assert contributions == list(report.config.entries)  # once per entry
+    analyze(NormalK3Input.fibered(FIXTURE_532))
+    assert validated == FIXTURE_532  # a repeated decoration is not validated again
     assert kodaira._config.cache_info().maxsize == 1024
+    assert kodaira._validated.cache_info().maxsize == 4096
 
 
 def test_trichotomy_sweep_totals_match_generating_function():

@@ -194,6 +194,8 @@ def test_sweep_result_derives_its_total():
      "type I* needs n >= 0, got <negative 16610-bit integer>"),
     (lambda: KodairaType("IV", 2), "type IV takes no index"),
     (lambda: KodairaType("V"), "invalid Kodaira base 'V'"),
+    (lambda: KodairaType(10**5000), "invalid Kodaira base <16610-bit integer>"),
+    (lambda: DuValType(10**5000, 1), "invalid Du Val type <16610-bit integer>1"),
     (lambda: AbelianGroup((2, 3)), "broken divisibility chain (2, 3)"),
     (lambda: AbelianGroup((0, 2)), "zeros must come after the nonzero factors"),
     (lambda: AbelianGroup((-2,)), "invariant factors must be nonnegative"),
@@ -214,6 +216,14 @@ def test_validation_errors(make, message):
         make()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+def test_a_rejected_container_of_huge_integers_keeps_the_conversion_error():
+    # only an integer is named by its bit length; a container of one
+    # still raises str()'s own ValueError, not a TypeError
+    for make in (lambda: KodairaType((10**5000,)), lambda: DuValType([10**5000], 1)):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            make()
 
 
 def test_normalisation():
