@@ -125,7 +125,7 @@ class AdeConfig(namedtuple("AdeConfig", "entries")):
         return len(self.entries)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def local_euler_contribution(t: DuValType) -> Fraction:
     """Contribution n + 1 - 1/delta of one singular point to the Euler number.
 

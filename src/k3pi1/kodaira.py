@@ -204,7 +204,7 @@ def _star(base: str) -> tuple[str, list[list[str]], dict[str, int]]:
 
 # a sweep reads the three star tables; `kodaira info` builds I_n and I*_n
 # tables of up to 10^5 components, so only the most recent few are kept
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def fiber_data(t: KodairaType) -> FiberData:
     """The components, with multiplicities, and dual graph of a fiber type."""
     comps: list[tuple[str, int]] = []
@@ -495,7 +495,7 @@ def _istar_keys(n: int) -> dict[OutcomeKey, list[str]]:
     return keys
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def decoration_outcomes(t: KodairaType) -> tuple[DecorationOutcome, ...]:
     """All decoration classes of a fiber type, one representative each,
     sorted by (m, removed config).

@@ -30,12 +30,12 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations_with_replacement, product
 from math import comb, lcm
 from operator import mul
 
-from .dynkin import AdeConfig, _multisets, local_euler_contribution
+from .dynkin import AdeConfig, DuValType, _multisets, local_euler_contribution
 from .kodaira import (
     Decoration,
     K3_EULER_NUMBER,
@@ -80,12 +80,25 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
     May be negative for configurations no normal K3 surface realizes;
     the value is reported as is.  The contributions (cached per type)
     are summed in integers over their least common denominator, and one
-    Fraction is built at the end.
+    Fraction is built at the end.  `analyze` caches the value per
+    configuration; the sweep calls this directly.
     """
     parts = [local_euler_contribution(t) for t in c.entries]
     den = lcm(*[p.denominator for p in parts])
     lost = sum([p.numerator * (den // p.denominator) for p in parts])
     return Fraction(K3_EULER_NUMBER * den - lost, den)
+
+
+@lru_cache(maxsize=1024)  # configs recur: a stream of inputs has few distinct ones
+def _checked_euler(config: AdeConfig) -> Fraction:
+    """The orbifold Euler number, asserted >= 3/2 when r <= 15 (the
+    minimum, at fifteen A_1 points).  An error is never cached."""
+    e_orb = orbifold_euler_number(config)
+    if config.rank <= RANK_GATE_BOUND and e_orb < _THREE_HALVES:
+        raise AssertionError(
+            f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
+        )
+    return e_orb
 
 
 class NormalK3Input(namedtuple("NormalK3Input", "singularities fibers monodromy")):
@@ -242,22 +255,26 @@ def analyze(input_: NormalK3Input) -> Report:
     removed configurations of the fibers.  When the rank gate passes,
     the orbifold Euler number must come out >= 3/2 (minimum at fifteen
     A_1 points), which is asserted as an internal consistency check.
-    Fibered input gets the classification of its base orbifold; a
-    monodromy representation is validated, and its quotient computed
-    when the base orbifold is simply connected.  `Report.verdict`
-    follows from what is returned.
+    Both are cached per config in an LRU cache of 1,024 entries that
+    the sweep does not fill: every fibered config, and a bare one only
+    when it is an AdeConfig of at most 24 DuValType entries.  Fibered
+    input gets the classification of its base orbifold; a monodromy
+    representation is validated, and its quotient computed when the
+    base orbifold is simply connected.  `Report.verdict` follows from
+    what is returned.
     """
     fibers = cls = quotient = None
+    checked = _checked_euler
     if input_.fibers is None:
         config = input_.singularities
+        if not (type(config) is AdeConfig and type(config.entries) is tuple
+                and len(config) <= K3_EULER_NUMBER
+                and all(type(t) is DuValType for t in config.entries)):
+            checked = _checked_euler.__wrapped__
     else:
         fibers = validate_k3_fibration(input_.fibers)
         config = AdeConfig([p for f in fibers for p in f.config.entries])
-    e_orb = orbifold_euler_number(config)
-    if config.rank <= RANK_GATE_BOUND and e_orb < _THREE_HALVES:
-        raise AssertionError(
-            f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
-        )
+    e_orb = checked(config)
 
     if fibers is not None:
         cls = classify(OrbifoldSignature(f.m for f in fibers))

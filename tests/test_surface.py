@@ -92,12 +92,17 @@ def test_rank_gate():
     assert gate([]) == (0, True)
 
 
-@pytest.mark.parametrize("input_", [
-    NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 15)),
-    NormalK3Input.fibered(KUMMER),
-    NormalK3Input.fibered([Decoration(K("I*0"))] * 4, MonodromyRep((MINUS_IDENTITY,) * 4)),
-], ids=["bare", "fibered", "monodromy"])
-def test_analyze_computes_the_euler_number_once(monkeypatch, input_):
+@pytest.mark.parametrize("input_, cached", [
+    (NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 15)), True),
+    (NormalK3Input.fibered(KUMMER), True),
+    (NormalK3Input.fibered([Decoration(K("I*0"))] * 4, MonodromyRep((MINUS_IDENTITY,) * 4)), True),
+    (NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 25)), False),
+    (NormalK3Input.bare(AdeConfig._make([[DuValType("A", 1)]])), False),
+], ids=["bare", "fibered", "monodromy", "long", "list"])
+def test_analyze_computes_the_euler_number_once(monkeypatch, input_, cached):
+    # once per distinct config: a repeat is read from the cache, except a
+    # bare config of more than 24 entries or an unhashable list of them,
+    # which is never cached
     calls = []
 
     def counted(config):
@@ -105,8 +110,29 @@ def test_analyze_computes_the_euler_number_once(monkeypatch, input_):
         return orbifold_euler_number(config)
 
     monkeypatch.setattr("k3pi1.surface.orbifold_euler_number", counted)
+    surface._checked_euler.cache_clear()
     report = analyze(input_)
     assert calls == [report.config]
+    assert analyze(input_) == report
+    assert calls == [report.config] * (1 if cached else 2)
+    assert surface._checked_euler.cache_info().currsize == cached
+
+
+def test_analyze_caches_no_error(monkeypatch):
+    # a config of plain tuples equals its DuValType twin but has no rank,
+    # and the rank gate's assertion is raised again on every call
+    surface._checked_euler.cache_clear()
+    analyze(NormalK3Input.bare(AdeConfig.from_labels(["A1"])))
+    assert surface._checked_euler.cache_info().currsize == 1
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            analyze(NormalK3Input.bare(AdeConfig((("A", 1),))))
+    monkeypatch.setattr(surface, "orbifold_euler_number", lambda config: Fraction(1))
+    surface._checked_euler.cache_clear()
+    low = NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 15))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"^rank 15 <= 15 but orbifold Euler number 1 < 3/2$"):
+            analyze(low)
 
 
 def test_low_rank_sweep_minimum_three_halves():
@@ -560,7 +586,7 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     # fiber builds a component table.  Every cache is cleared first, so
     # nothing comes from an earlier test
     caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts,
-              kodaira._validated)
+              kodaira._validated, surface._checked_euler)
     for cached in caches:
         cached.cache_clear()
     expanded = []
@@ -582,6 +608,7 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     assert decoration_outcomes.cache_info().currsize == 4
     assert fiber_data.cache_info().currsize == 0
     assert kodaira._validated.cache_info().currsize == 0  # it serves fibrations only
+    assert surface._checked_euler.cache_info().currsize == 0  # it serves `analyze` only
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
@@ -714,6 +741,7 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     assert contributions and classes
     del contributions[:]
     kodaira._validated.cache_clear()
+    surface._checked_euler.cache_clear()
     report = analyze(NormalK3Input.fibered(FIXTURE_532))
     assert validated == FIXTURE_532  # once per fiber, in order
     assert contributions == list(report.config.entries)  # once per entry
@@ -721,6 +749,7 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     assert validated == FIXTURE_532  # a repeated decoration is not validated again
     assert kodaira._config.cache_info().maxsize == 1024
     assert kodaira._validated.cache_info().maxsize == 4096
+    assert surface._checked_euler.cache_info().maxsize == 1024
 
 
 def test_trichotomy_sweep_totals_match_generating_function():

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from k3pi1.dynkin import AdeConfig, DuValType
+from k3pi1.dynkin import AdeConfig, DuValType, local_euler_contribution
 from k3pi1.kodaira import (
     Decoration,
     DecorationOutcome,
     FiberData,
     KodairaType,
+    decoration_outcomes,
+    fiber_data,
 )
 from k3pi1.lattice import IntegerGram, MeyerReport, SnfResult, smith_normal_form
 from k3pi1.orbifold import OrbifoldClass, OrbifoldSignature
@@ -317,6 +319,17 @@ def test_equal_fields_give_equal_objects_and_hashes():
     assert KodairaType("I", 2) != KodairaType("I", 3)
     assert Decoration(I0S) != DEC
     assert AdeConfig((A1,)) != AdeConfig((A1, A1))
+
+
+def test_cached_lookups_do_not_answer_a_plain_tuple_for_its_twin():
+    # a value type equals and hashes like the plain tuple of its fields,
+    # so a cache keyed by equality alone would answer the tuple once the
+    # value type was cached
+    for lookup, twin in [(local_euler_contribution, A1), (fiber_data, I2),
+                         (decoration_outcomes, I2)]:
+        lookup(twin)
+        with pytest.raises(AttributeError):
+            lookup(tuple(twin))
 
 
 def test_du_val_and_kodaira_types_order_by_their_fields():
