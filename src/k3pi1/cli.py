@@ -48,7 +48,6 @@ from contextlib import contextmanager, suppress
 
 from .dynkin import AdeConfig
 from .kodaira import Decoration, KodairaType, fiber_data
-from .lattice import IntegerGram, _inertia, _pivots, k3_gram, meyer_gate, smith_normal_form
 from .orbifold import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -325,6 +324,8 @@ def _cmd_orbifold(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
+    from .lattice import smith_normal_form
+
     matrix = _load_matrix_file(args.matrixfile)
     with _field(args.matrixfile):
         res = smith_normal_form(matrix)
@@ -339,6 +340,8 @@ def _cmd_lattice_snf(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
+    from .lattice import IntegerGram, meyer_gate
+
     with _field(args.matrixfile):
         gram = IntegerGram.from_rows(_load_matrix_file(args.matrixfile))
     if args.bound < 1:
@@ -366,6 +369,8 @@ def _cmd_lattice_isotropic(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_lattice_k3(args) -> tuple[dict, list[str], int]:
+    from .lattice import _inertia, _pivots, k3_gram
+
     gram = k3_gram()
     # every step of the congruence has determinant +-1, so the last
     # leading minor is the determinant, or it is 0 when a minor is missing

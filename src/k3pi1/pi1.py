@@ -19,9 +19,6 @@ from math import gcd
 
 from .dynkin import _int_text
 from .kodaira import KodairaType, Mat2
-# smith_normal_form is not used here, but perfbench/worker.py traces it as
-# pi1.smith_normal_form, so the name stays importable from this module
-from .lattice import smith_normal_form  # noqa: F401
 
 __all__ = [
     "Mat2",
@@ -36,6 +33,17 @@ __all__ = [
     "validate_representation",
     "coinvariant_quotient",
 ]
+
+
+def __getattr__(name: str):
+    # perfbench/worker.py traces lattice's smith_normal_form as pi1.smith_normal_form;
+    # it is imported on first access, so `analyze` (through this module) never loads lattice
+    if name != "smith_normal_form":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .lattice import smith_normal_form
+
+    return smith_normal_form
+
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 MINUS_IDENTITY: Mat2 = ((-1, 0), (0, -1))

@@ -71,7 +71,6 @@ RANK_GATE_BOUND = 15
 FINITE_FUNDAMENTAL_GROUP = "FiniteFundamentalGroup"
 TORUS_COVER = "TorusCover"
 UNREALIZABLE_HYPERBOLIC = "UnrealizableHyperbolic"
-_THREE_HALVES = Fraction(3, 2)  # e_orb of fifteen A1 points, the least when r <= 15
 
 
 def orbifold_euler_number(c: AdeConfig) -> Fraction:
@@ -91,14 +90,22 @@ def orbifold_euler_number(c: AdeConfig) -> Fraction:
 
 @lru_cache(maxsize=1024)  # configs recur: a stream of inputs has few distinct ones
 def _checked_euler(config: AdeConfig) -> Fraction:
-    """The orbifold Euler number, asserted >= 3/2 when r <= 15 (the
-    minimum, at fifteen A_1 points).  An error is never cached."""
+    """The orbifold Euler number, asserted >= 3/2 when r <= 15 (the minimum,
+    at fifteen A_1 points), in integers: a Fraction's denominator is
+    positive.  An error is never cached."""
     e_orb = orbifold_euler_number(config)
-    if config.rank <= RANK_GATE_BOUND and e_orb < _THREE_HALVES:
+    if config.rank <= RANK_GATE_BOUND and 2 * e_orb.numerator < 3 * e_orb.denominator:
         raise AssertionError(
             f"rank {config.rank} <= {RANK_GATE_BOUND} but orbifold Euler number {e_orb} < 3/2"
         )
     return e_orb
+
+
+@lru_cache(maxsize=256)  # a stream of fibrations has few distinct m tuples
+def _classified(ms: tuple[int, ...]) -> OrbifoldClass:
+    """The class of the base orbifold with cone orders `ms`, by the module
+    global `classify`, which perfbench/worker.py traces."""
+    return classify(OrbifoldSignature(ms))
 
 
 class NormalK3Input(namedtuple("NormalK3Input", "singularities fibers monodromy")):
@@ -258,10 +265,11 @@ def analyze(input_: NormalK3Input) -> Report:
     Both are cached per config in an LRU cache of 1,024 entries that
     the sweep does not fill: every fibered config, and a bare one only
     when it is an AdeConfig of at most 24 DuValType entries.  Fibered
-    input gets the classification of its base orbifold; a monodromy
-    representation is validated, and its quotient computed when the
-    base orbifold is simply connected.  `Report.verdict` follows from
-    what is returned.
+    input gets the class of its base orbifold, cached per tuple of the
+    fibers' m in 256 entries that the sweep does not fill either; a
+    monodromy representation is validated, and its quotient computed
+    when the base orbifold is simply connected.  `Report.verdict`
+    follows from what is returned.
     """
     fibers = cls = quotient = None
     checked = _checked_euler
@@ -277,7 +285,7 @@ def analyze(input_: NormalK3Input) -> Report:
     e_orb = checked(config)
 
     if fibers is not None:
-        cls = classify(OrbifoldSignature(f.m for f in fibers))
+        cls = _classified(tuple([f.m for f in fibers]))
         rep = input_.monodromy
         if rep is not None:
             if len(rep) != len(fibers):

@@ -1,9 +1,10 @@
 """Layout rules: the package runs on the standard library alone, the
 test oracles stay independent of it, every exported name and every
 function the benchmark traces exists, the package root exports exactly
-what the README example and the benchmark import from it, and starting
-the CLI imports no heavy standard-library module it does not use, and
-the lattice module diagonalises without `fractions`.  Every private
+what the README example and the benchmark import from it, starting
+the CLI imports no heavy standard-library module it does not use, only
+the `lattice` commands load the lattice module, and the lattice module
+diagonalises without `fractions`.  Every private
 name one module of the package imports from another is listed, so a
 new coupling is added on purpose."""
 
@@ -13,12 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import k3pi1
 
 PACKAGE = Path(k3pi1.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"
 PERFBENCH_WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 README = Path(__file__).parent.parent / "README.md"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _readme_library_example():
@@ -28,14 +32,16 @@ def _readme_library_example():
 
 
 def _root_exports():
-    """The names that the package root imports from its modules."""
+    """The names of the package root's literal `__all__`, which it resolves
+    from their modules on first use."""
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
+    (exports,) = [
+        node.value
         for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    return set(ast.literal_eval(exports))
 
 
 def _root_imports(source, name):
@@ -46,6 +52,18 @@ def _root_imports(source, name):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "k3pi1"
         for alias in node.names
     }
+
+
+def _fresh(script, *args):
+    """The last output line of `script` run in a fresh `python -S` process
+    (no site and no .pth files that may import modules themselves), with the
+    package on its path and `sys` imported, from the fixtures directory."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + script,
+         str(PACKAGE.parent), *args],
+        capture_output=True, text=True, check=True, timeout=60, cwd=FIXTURES,
+    )
+    return out.stdout.splitlines()[-1]
 
 
 def _imported_modules(path):
@@ -135,23 +153,46 @@ def test_perfbench_hooks_resolve():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # `python -S` leaves out site and the .pth files that may import
-    # typing themselves; what is left is the import cost of the package
-    # and its standard-library dependencies on every CLI start
+    # what a fresh `python -S` loads is the import cost of the package and
+    # its standard-library dependencies on every CLI start
+    script = "import k3pi1.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    assert _fresh(script) == "[]"
+
+
+def test_package_root_loads_its_modules_on_first_use():
     script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import k3pi1.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "import k3pi1; loaded = sorted(m for m in sys.modules if m.startswith('k3pi1.')); "
+        "from k3pi1 import analyze; print(loaded, 'k3pi1.lattice' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", script, str(PACKAGE.parent)],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+    assert _fresh(script) == "[] False"
+    with pytest.raises(AttributeError, match="^module 'k3pi1' has no attribute 'lattice_k3'$"):
+        k3pi1.lattice_k3
+    from k3pi1 import lattice, pi1
+
+    # the name perfbench traces resolves to the lattice module's function
+    assert pi1.smith_normal_form is lattice.smith_normal_form
+    with pytest.raises(AttributeError, match="^module 'k3pi1.pi1' has no attribute 'signature'$"):
+        pi1.signature
+
+
+@pytest.mark.parametrize("argv, loads_lattice", [
+    ("analyze kummer.json", False),
+    ("analyze fixture_532.json --json", False),
+    ("euler kummer.json", False),
+    ("orbifold --signature 2,3,5", False),
+    ("kodaira info II*", False),
+    ("enumerate --euler-sum 12", False),
+    ("pi1 quotient rep_four_istar0.json", False),
+    ("lattice k3 --info", True),
+])
+def test_only_the_lattice_commands_load_the_lattice_module(argv, loads_lattice):
+    script = "from k3pi1.cli import main; code = main(sys.argv[2:]); print(code, 'k3pi1.lattice' in sys.modules)"
+    assert _fresh(script, *argv.split()) == f"0 {loads_lattice}"
 
 
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 2694, lines
+    assert lines <= 2730, lines
 
 
 # (importer, source module, private name) for every private name that
@@ -186,13 +227,9 @@ def test_cli_import_builds_no_count_table():
     # the outcome counts are built on the first sweep, never at import, so
     # a CLI start that does not sweep pays nothing for them
     script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import k3pi1.cli; "
-        "from k3pi1 import kodaira, surface; "
+        "import k3pi1.cli; from k3pi1 import kodaira, surface; "
         "print([f.cache_info().currsize for f in "
-        "(kodaira._arc_counts, kodaira._outcome_counts, kodaira._validated, surface._checked_euler)])"
+        "(kodaira._arc_counts, kodaira._outcome_counts, kodaira._validated, "
+        "surface._checked_euler, surface._classified)])"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", script, str(PACKAGE.parent)],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "[0, 0, 0, 0]", out.stdout + out.stderr
+    assert _fresh(script) == "[0, 0, 0, 0, 0]"

@@ -20,7 +20,7 @@ from k3pi1.kodaira import (
     fiber_data,
     validate_decoration,
 )
-from k3pi1.orbifold import classify
+from k3pi1.orbifold import OrbifoldSignature, classify
 from k3pi1.pi1 import MINUS_IDENTITY, MonodromyRep
 from k3pi1.surface import (
     FINITE_FUNDAMENTAL_GROUP,
@@ -127,12 +127,17 @@ def test_analyze_caches_no_error(monkeypatch):
     for _ in range(2):
         with pytest.raises(AttributeError):
             analyze(NormalK3Input.bare(AdeConfig((("A", 1),))))
-    monkeypatch.setattr(surface, "orbifold_euler_number", lambda config: Fraction(1))
-    surface._checked_euler.cache_clear()
     low = NormalK3Input.bare(AdeConfig.from_labels(["A1"] * 15))
-    for _ in range(2):
-        with pytest.raises(AssertionError, match=r"^rank 15 <= 15 but orbifold Euler number 1 < 3/2$"):
-            analyze(low)
+    # just below the gate's 3/2, and far below it
+    for e_orb, text in ((Fraction(149, 100), "149/100"), (Fraction(1), "1")):
+        monkeypatch.setattr(surface, "orbifold_euler_number", lambda config, e_orb=e_orb: e_orb)
+        surface._checked_euler.cache_clear()
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=rf"^rank 15 <= 15 but orbifold Euler number {text} < 3/2$"):
+                analyze(low)
+    monkeypatch.setattr(surface, "orbifold_euler_number", lambda config: Fraction(3, 2))
+    surface._checked_euler.cache_clear()
+    assert analyze(low).e_orb == Fraction(3, 2)  # the gate's bound itself passes
 
 
 def test_low_rank_sweep_minimum_three_halves():
@@ -586,7 +591,7 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     # fiber builds a component table.  Every cache is cleared first, so
     # nothing comes from an earlier test
     caches = (decoration_outcomes, fiber_data, kodaira._outcome_counts, kodaira._arc_counts,
-              kodaira._validated, surface._checked_euler)
+              kodaira._validated, surface._checked_euler, surface._classified)
     for cached in caches:
         cached.cache_clear()
     expanded = []
@@ -609,6 +614,7 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     assert fiber_data.cache_info().currsize == 0
     assert kodaira._validated.cache_info().currsize == 0  # it serves fibrations only
     assert surface._checked_euler.cache_info().currsize == 0  # it serves `analyze` only
+    assert surface._classified.cache_info().currsize == 0  # and so does this one
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
@@ -739,17 +745,21 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     monkeypatch.setattr(surface, "classify", classified)
     trichotomy_sweep(24)
     assert contributions and classes
-    del contributions[:]
+    del contributions[:], classes[:]
     kodaira._validated.cache_clear()
     surface._checked_euler.cache_clear()
+    surface._classified.cache_clear()
     report = analyze(NormalK3Input.fibered(FIXTURE_532))
     assert validated == FIXTURE_532  # once per fiber, in order
     assert contributions == list(report.config.entries)  # once per entry
+    assert classes == [OrbifoldSignature((5, 3, 2))]
     analyze(NormalK3Input.fibered(FIXTURE_532))
     assert validated == FIXTURE_532  # a repeated decoration is not validated again
+    assert len(classes) == 1  # nor is a repeated m tuple classified again
     assert kodaira._config.cache_info().maxsize == 1024
     assert kodaira._validated.cache_info().maxsize == 4096
     assert surface._checked_euler.cache_info().maxsize == 1024
+    assert surface._classified.cache_info().maxsize == 256
 
 
 def test_trichotomy_sweep_totals_match_generating_function():
