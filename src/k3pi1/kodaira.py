@@ -353,15 +353,17 @@ def validate_decoration(d: Decoration) -> DecorationOutcome:
     finite ADE diagrams, so every proper removed set is ADE.
     """
     t, removed = d
+    removed = frozenset(removed)
     m, pieces = _removed_key(t, removed) if removed else (1, ())
     # a fiber has at most as many components as its Euler number, so on a
     # K3 at most 24 pieces: longer keys, which the Euler sum rejects, stay uncached
     config = _config(pieces) if len(pieces) <= K3_EULER_NUMBER else _config.__wrapped__(pieces)
-    return DecorationOutcome(t, m, config, frozenset(removed))
+    return DecorationOutcome(t, m, config, removed)
 
 
-# sized from traffic: a stream of 3,000 fibrations has about 2,000 distinct decorations
-@lru_cache(maxsize=4096)
+# sized from traffic: a stream of 3,000 fibrations has about 2,000 distinct decorations;
+# keyed by type, so a tuple (base, n) misses its KodairaType twin
+@lru_cache(maxsize=4096, typed=True)
 def _validated(t: KodairaType, removed: frozenset[str]) -> DecorationOutcome:
     return validate_decoration(Decoration(t, removed))
 
@@ -370,20 +372,15 @@ def validate_k3_fibration(fibers: Sequence[Decoration]) -> tuple[DecorationOutco
     """Validate decorations and require the fiber Euler numbers to sum to 24.
 
     A repeated decoration is not validated again: its outcome is kept per
-    (fiber type, removed set) in `_validated`, an LRU cache of 4,096
-    entries that the sweep does not fill.  A removed set of more than 24
-    ids, more than any K3 fiber has, is not cached, nor is any error.
+    (fiber type, frozenset of removed ids), keyed by type, in `_validated`,
+    an LRU cache of 4,096 entries that the sweep does not fill.  More than
+    24 removed ids, more than any K3 fiber has, are not cached, nor is any error.
     """
     outcomes = []
-    for d in fibers:
-        # a tuple (base, n) equals a KodairaType but is no fiber type, and a set
-        # is no key: only a KodairaType and a frozenset are looked up
-        t, removed = d
-        cached = type(t) is KodairaType and type(removed) is frozenset
-        if cached and len(removed) <= K3_EULER_NUMBER:
-            outcomes.append(_validated(t, removed))
-        else:
-            outcomes.append(validate_decoration(d))
+    for t, removed in fibers:
+        removed = frozenset(removed)
+        validated = _validated if len(removed) <= K3_EULER_NUMBER else _validated.__wrapped__
+        outcomes.append(validated(t, removed))
     total = sum([o.fiber.euler for o in outcomes])
     if total != K3_EULER_NUMBER:
         raise EulerSumMismatch(total)

@@ -103,8 +103,8 @@ def _checked_euler(config: AdeConfig) -> Fraction:
 
 @lru_cache(maxsize=256)  # a stream of fibrations has few distinct m tuples
 def _classified(ms: tuple[int, ...]) -> OrbifoldClass:
-    """The class of the base orbifold with cone orders `ms`, by the module
-    global `classify`, which perfbench/worker.py traces."""
+    """The base orbifold class of cone orders `ms`, for `analyze` and the
+    sweep, by the module global `classify`, which perfbench/worker.py traces."""
     return classify(OrbifoldSignature(ms))
 
 
@@ -266,8 +266,8 @@ def analyze(input_: NormalK3Input) -> Report:
     the sweep does not fill: every fibered config, and a bare one only
     when it is an AdeConfig of at most 24 DuValType entries.  Fibered
     input gets the class of its base orbifold, cached per tuple of the
-    fibers' m in 256 entries that the sweep does not fill either; a
-    monodromy representation is validated, and its quotient computed
+    fibers' m in 256 entries: one class cache, which the sweep fills too.
+    A monodromy representation is validated, and its quotient computed
     when the base orbifold is simply connected.  `Report.verdict`
     follows from what is returned.
     """
@@ -377,8 +377,8 @@ def trichotomy_sweep(
     euclidean or hyperbolic base, so the walk goes over the group
     multisets that can still reach three cones, each with its weight (the
     product of C(k + c - 1, c) for c picks from a group of k) and sorted
-    cone orders, and classifies those with three cones, each cone
-    multiset once; spherical_or_bad is the rest of the total.
+    cone orders, and classifies those with three cones through `analyze`'s
+    cache, each cone multiset once; spherical_or_bad is the rest of the total.
     Euclidean and hyperbolic group multisets (4 at budget 24, 242 at 30)
     are expanded from the outcome tables into full instances, checked
     against r >= 16, orbifold Euler number zero and the rank gate;
@@ -407,10 +407,6 @@ def trichotomy_sweep(
     completions_within = list(accumulate(_multiset_counts(flat)))
 
     @cache
-    def classify_cones(cones: tuple[int, ...]) -> OrbifoldClass:
-        return classify(OrbifoldSignature(cones))
-
-    @cache
     def group_items(group: tuple[int, int]) -> list:
         """The (position, outcome) pairs of a group, each outcome with its position
         in the sweep's outcome order, read from the tables of the types that have any."""
@@ -430,7 +426,7 @@ def trichotomy_sweep(
     def walk(start: int, left: int, weight: int, cones: tuple[int, ...], part: tuple) -> None:
         """Classify a group multiset `part` of three cones or more, then extend it."""
         if len(cones) >= 3:
-            kind = classify_cones(cones).kind
+            kind = _classified(cones).kind
             if kind != SPHERICAL_OR_BAD:
                 counts[kind] += weight * completions_within[left]
                 # per group, every choice of c of its outcomes; the sort below fixes the order

@@ -347,6 +347,26 @@ def test_fibration_outcomes_are_cached_per_decoration_and_errors_are_not():
         validate_k3_fibration([Decoration(("I*", 0), plain.removed)] * 4)
 
 
+@pytest.mark.parametrize("label, removed", [
+    ("I3", ["c0", "c0"]),  # was config A1 + A1 for the removed set {c0}
+    ("I2", ["c0", "c0"]),  # was FullSupportRemoved
+    ("IV*", ["a1"]),  # was AttributeError: a list has no `difference`
+])
+def test_a_removed_list_is_read_as_its_set(label, removed):
+    # `_make` and `_replace` skip `Decoration.__new__`, so `removed` can
+    # stay a list; both validators read it as the set of its ids
+    t = I(label)
+    d = Decoration._make((t, removed))
+    assert type(d.removed) is list
+    outcome = validate_decoration(d)
+    assert (outcome.m, outcome.config.labels, outcome.removed) == (1, ("A1",), {removed[0]})
+    assert type(outcome.removed) is frozenset
+    filler = Decoration(KodairaType("I", 24 - t.euler))
+    _validated.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        assert validate_k3_fibration([d, filler])[0] == outcome
+
+
 def test_outcome_cache_keeps_no_decoration_of_more_ids_than_a_k3_fiber_has():
     # as for _config: only input that the Euler sum rejects removes more
     # than 24 ids, and 1,024 such outcomes of I_20000 would hold gigabytes

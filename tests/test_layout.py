@@ -192,7 +192,7 @@ def test_only_the_lattice_commands_load_the_lattice_module(argv, loads_lattice):
 
 def test_package_stays_within_its_line_budget():
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 2730, lines
+    assert lines <= 2723, lines
 
 
 # (importer, source module, private name) for every private name that

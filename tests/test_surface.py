@@ -584,6 +584,10 @@ def test_trichotomy_sweep_collect_limit_keeps_the_first_instances():
 
 
 def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
+    # the cone multisets of three cones or more that fit, read before the
+    # caches are cleared, since reading them builds tables
+    realizable = cone_signatures_by_cost(_min_euler_per_cone_order(24), 24)
+    three_cones = [cones for cones in realizable if len(cones) >= 3]
     # the sweep reads the outcome counts of every cycle (I_n, II, III,
     # IV) and of I*_n from one arc table, and builds outcome tables only
     # for the stars IV*, III*, II*, which it counts by brute force, and for
@@ -614,7 +618,11 @@ def test_cold_sweep_builds_few_outcome_tables(monkeypatch):
     assert fiber_data.cache_info().currsize == 0
     assert kodaira._validated.cache_info().currsize == 0  # it serves fibrations only
     assert surface._checked_euler.cache_info().currsize == 0  # it serves `analyze` only
-    assert surface._classified.cache_info().currsize == 0  # and so does this one
+    # the class cache serves both: it holds each cone multiset of three cones or more
+    assert surface._classified.cache_info().currsize == len(three_cones) == 12
+    for cones in three_cones:
+        surface._classified(cones)
+    assert surface._classified.cache_info().misses == 12
     monkeypatch.undo()
     assert res.total == gf_total(_outcome_eulers(24), 24)
     assert decoration_outcomes.cache_info().currsize == 49
@@ -705,6 +713,7 @@ def test_trichotomy_sweep_counts_match_the_per_kind_oracle():
 
 def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
     trichotomy_sweep(24)
+    surface._classified.cache_clear()
     seen = []
 
     def counted(signature):
@@ -719,6 +728,9 @@ def test_warm_sweep_classifies_each_cone_multiset_once(monkeypatch):
     realizable = cone_signatures_by_cost(_min_euler_per_cone_order(24), 24)
     assert len(seen) == len(set(seen)) == 12
     assert set(seen) == {cones for cones in realizable if len(cones) >= 3}
+    # the class cache keeps them, so a repeat sweep classifies nothing
+    trichotomy_sweep(24)
+    assert len(seen) == 12
 
 
 def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
@@ -743,6 +755,7 @@ def test_the_traced_calls_stay_on_the_module_globals(monkeypatch):
     monkeypatch.setattr(surface, "local_euler_contribution", contribution)
     monkeypatch.setattr(kodaira, "validate_decoration", validate)
     monkeypatch.setattr(surface, "classify", classified)
+    surface._classified.cache_clear()  # the first sweep filled it
     trichotomy_sweep(24)
     assert contributions and classes
     del contributions[:], classes[:]
